@@ -6,7 +6,14 @@ trace semantics change *on purpose*; optimizations must never need this.
 
 from __future__ import annotations
 
-from tests.golden.scenarios import FIXTURES, GOLDEN_RUNS, fixture_paths
+from tests.golden.scenarios import (
+    CHAOS_BEHAVIOUR,
+    CHAOS_VARIANTS,
+    FIXTURES,
+    GOLDEN_RUNS,
+    fixture_paths,
+    render_chaos_behaviour,
+)
 
 
 def main() -> None:
@@ -17,6 +24,8 @@ def main() -> None:
         trace_path.write_text(trace)
         counters_path.write_text(counters)
         print(f"captured {name}: {len(trace.splitlines())} trace lines")
+    CHAOS_BEHAVIOUR.write_text(render_chaos_behaviour())
+    print(f"captured {len(CHAOS_VARIANTS)} chaos variants -> {CHAOS_BEHAVIOUR.name}")
 
 
 if __name__ == "__main__":

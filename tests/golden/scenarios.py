@@ -12,11 +12,19 @@ the simulator and needs to be called out loudly in review:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
+from repro.chaos.game_day import GameDayScenario
+from repro.chaos.membership_divergence import MembershipDivergenceScenario
+from repro.chaos.mixed_txn import MixedTxnScenario
+from repro.chaos.rejoin import RejoinScenario
+from repro.chaos.retrystorm import RetryStormScenario
+from repro.chaos.ring_rebalance import RingRebalanceScenario
 from repro.chaos.scenarios import BankClearingScenario, CartDynamoScenario
+from repro.chaos.splitbrain import SplitBrainScenario
 from repro.errors import TransactionAborted
 from repro.logship import LogShippingSystem, ShipMode
 from repro.net.latency import FixedLatency
@@ -177,3 +185,49 @@ GOLDEN_RUNS = {
 
 def fixture_paths(name: str) -> Tuple[Path, Path]:
     return FIXTURES / f"{name}.trace.txt", FIXTURES / f"{name}.counters.json"
+
+
+# ----------------------------------------------------------------------
+# Chaos scenarios without a full trace fixture: one seed-0 run each, in
+# the configuration the ``--smoke`` sweep uses, frozen as a digest
+# (end time, counters, violation signatures, SHA-256 of the rendered
+# trace). Refactors of the scenario code must leave every entry as is.
+
+_MIXED_TXN_SHORT = dict(
+    horizon=16.0, partition_start=4.0, partition_end=9.0, drain=8.0
+)
+
+CHAOS_VARIANTS: Dict[str, Callable[[], Any]] = {
+    "rejoin_snapshot": lambda: RejoinScenario(policy="snapshot"),
+    "rejoin_no_snapshot": lambda: RejoinScenario(policy="no-snapshot"),
+    "ring_rebalance": RingRebalanceScenario,
+    "membership_divergence": MembershipDivergenceScenario,
+    "retry_storm_resilient": lambda: RetryStormScenario(policy="resilient"),
+    "retry_storm_naive": lambda: RetryStormScenario(policy="naive"),
+    "mixed_txn_leader": lambda: MixedTxnScenario(cut="leader", **_MIXED_TXN_SHORT),
+    "mixed_txn_minority": lambda: MixedTxnScenario(
+        cut="minority", **_MIXED_TXN_SHORT
+    ),
+    "split_brain_fenced": lambda: SplitBrainScenario(policy="fenced"),
+    "split_brain_unfenced": lambda: SplitBrainScenario(policy="unfenced"),
+    "game_day": lambda: GameDayScenario(policy="fenced", detector="phi"),
+}
+
+CHAOS_BEHAVIOUR = FIXTURES / "chaos_behaviour.json"
+
+
+def run_chaos_variant(name: str, seed: int = 0) -> Dict[str, Any]:
+    scenario = CHAOS_VARIANTS[name]()
+    report = scenario.run(seed, scenario.spec().sample(seed))
+    trace = render_trace(scenario._sim).encode()
+    return {
+        "end_time": report.end_time,
+        "counters": report.counters,
+        "violations": [list(v.signature) for v in report.violations],
+        "trace_sha256": hashlib.sha256(trace).hexdigest(),
+    }
+
+
+def render_chaos_behaviour() -> str:
+    behaviour = {name: run_chaos_variant(name) for name in CHAOS_VARIANTS}
+    return json.dumps(behaviour, sort_keys=True, indent=1) + "\n"
