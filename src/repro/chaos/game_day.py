@@ -29,11 +29,16 @@ healed east ships its stale tail — the §5.1 lost update, at WAN scale.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.chaos.engine import ChaosEngine, ChaosTargets
-from repro.chaos.invariants import InvariantMonitor, escrow_non_negative
+from repro.chaos.invariants import (
+    InvariantMonitor,
+    NoAckedWriteLost,
+    escrow_non_negative,
+    reconverged,
+)
 from repro.chaos.plan import (
     ChaosPlan,
     ChaosSpec,
@@ -42,9 +47,14 @@ from repro.chaos.plan import (
     LinkFaultEpisode,
     WanCutEpisode,
 )
-from repro.chaos.scenarios import ChaosReport
+from repro.chaos.skeleton import (
+    ChaosReport,
+    repair_until_converged,
+    unique_key_writer,
+)
+from repro.chaos.splitbrain import SplitBrainClients
 from repro.core.escrow import EscrowAccount
-from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
+from repro.dynamo.cluster import DynamoCluster
 from repro.errors import (
     CrashedError,
     SimulationError,
@@ -59,12 +69,9 @@ from repro.failover import (
 from repro.logship import LogShippingSystem, ShipMode
 from repro.net.latency import ExponentialLatency, FixedLatency
 from repro.net.network import LinkConfig
-from repro.net.rpc import RpcError
 from repro.net.topology import Site, Topology, TopologyNetwork, WanLink
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,7 @@ class GameDayScenario:
     """Detector × fencing policy under the compound multi-DC fault."""
 
     name = "game-day"
+    policies = ("fenced", "unfenced")
 
     SITES = ("dc-east", "dc-west", "dc-south")
 
@@ -116,7 +124,7 @@ class GameDayScenario:
         drain: float = 8.0,
         repair_rounds: int = 4,
     ) -> None:
-        if policy not in ("fenced", "unfenced"):
+        if policy not in self.policies:
             raise SimulationError(f"unknown game-day policy {policy!r}")
         if detector not in ("phi", "fixed"):
             raise SimulationError(f"unknown game-day detector {detector!r}")
@@ -282,42 +290,39 @@ class GameDayScenario:
         )
         engine.install(plan)
 
-        self._post_acks: Dict[str, str] = {}
-        self._last_epoch = system.epoch
-        self._writer_seq = itertools.count(1)
+        clients = SplitBrainClients(
+            sim, system, "chaos.gameday", self.num_keys, self.write_interval
+        )
         acked: Dict[str, int] = {}
-        results: Dict[str, Any] = {"lost": [], "converged_at": None}
+        lost_writes = NoAckedWriteLost(cluster, acked, "missing from the ring")
 
         monitor = InvariantMonitor(sim)
-        monitor.register("epoch-monotonic", self._check_epoch_monotonic)
+        monitor.register("epoch-monotonic", clients.check_epoch_monotonic)
         monitor.register("escrow-conserved", self._check_escrow_conserved)
         monitor.register("escrow-bounds", escrow_non_negative(escrow))
-        monitor.register("no-lost-update", self._check_no_lost_update,
+        monitor.register("no-lost-update", clients.check_no_lost_update,
                          when="quiesce")
-        monitor.register(
-            "no-acked-write-lost",
-            lambda: (
-                f"{len(results['lost'])} acked writes missing from the "
-                f"ring, first: {results['lost'][:5]}"
-                if results["lost"] else None
-            ),
-            when="quiesce",
-        )
+        monitor.register("no-acked-write-lost", lost_writes, when="quiesce")
         monitor.register(
             "ring-reconverges",
-            lambda: (
-                None if results["converged_at"] is not None
-                else "owners never agreed after repair rounds"
+            reconverged(
+                lambda: self.converged_at,
+                "owners never agreed after repair rounds",
             ),
             when="quiesce",
         )
         monitor.start(self.cadence, self.horizon)
 
-        sim.spawn(self._informed_writer(), name="chaos.gameday.informed")
-        sim.spawn(self._stale_writer(), name="chaos.gameday.stale")
+        sim.spawn(self._informed_writer(clients), name="chaos.gameday.informed")
+        sim.spawn(clients.stale_writer(self.horizon), name="chaos.gameday.stale")
+        # Unique-key puts from the third DC.
         for writer in writers:
             sim.spawn(
-                self._dynamo_writer(writer, acked),
+                unique_key_writer(
+                    sim, writer, acked, self.put_interval, self.horizon,
+                    stream=f"chaos.gameday.{writer.name}",
+                    metrics="chaos.gameday", key_prefix=f"{writer.name}-w",
+                ),
                 name=f"chaos.gameday.{writer.name}",
             )
 
@@ -333,41 +338,23 @@ class GameDayScenario:
         # repair rounds below can drain the event heap; the shippers are
         # event-driven and go idle once the healed tails land.
         failover.stop()
-        quiesce_start = sim.now
-        for _ in range(self.repair_rounds):
-            sim.run_process(cluster.run_handoff_round())
-            sim.run_process(cluster.run_anti_entropy_round())
-            if all(cluster.converged_on(key) for key in acked):
-                results["converged_at"] = sim.now
-                break
-        if results["converged_at"] is not None:
-            sim.metrics.observe(
-                "chaos.gameday.time_to_converged",
-                results["converged_at"] - quiesce_start,
-            )
-        results["lost"] = self._missing_writes(cluster, acked)
+        self.converged_at = repair_until_converged(
+            sim, cluster, acked, self.repair_rounds,
+            cluster.run_anti_entropy_round, "chaos.gameday.time_to_converged",
+        )
         monitor.check_now("quiesce")
 
-        self.converged_at = results["converged_at"]
-        self.lost_acked_writes = len(results["lost"])
-        if results["lost"]:
-            sim.metrics.inc(
-                "chaos.gameday.lost_acked_writes", len(results["lost"])
-            )
+        self.lost_updates = clients.lost_updates
+        self.lost_acked_writes = len(lost_writes.lost)
+        if lost_writes.lost:
+            sim.metrics.inc("chaos.gameday.lost_acked_writes", len(lost_writes.lost))
         detector = failover.detector
         convicted_at = detector.conviction_time("east")
         self.detection_latency = (
             convicted_at - self.cut_start if convicted_at is not None else None
         )
 
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+        return ChaosReport.of(self.name, seed, plan, monitor)
 
     def _make_detector(
         self, sim: Simulator, system: LogShippingSystem
@@ -383,10 +370,9 @@ class GameDayScenario:
     # ------------------------------------------------------------------
     # Log-ship writers (the split-brain pattern, now under a WAN cut)
 
-    def _key(self, seq: int) -> str:
-        return f"k{seq % self.num_keys}"
-
-    def _informed_writer(self) -> Generator[Any, Any, None]:
+    def _informed_writer(
+        self, clients: SplitBrainClients
+    ) -> Generator[Any, Any, None]:
         """Always reaches the currently serving site; every write debits
         the escrow account (reserve -> submit -> commit, abort on
         failure), so escrow conservation rides the same fault timeline.
@@ -400,8 +386,8 @@ class GameDayScenario:
             if sim.now + think > self.cut_end:
                 return
             yield Timeout(think)
-            seq = next(self._writer_seq)
-            key, value = self._key(seq), f"v{seq}"
+            seq, key = clients.next_write()
+            value = f"v{seq}"
             txn = f"gd-esc-{seq}"
             yield from escrow.reserve(txn, -1.0)
             try:
@@ -414,90 +400,10 @@ class GameDayScenario:
             self._escrow_committed += -1.0
             sim.metrics.inc("chaos.gameday.informed_acks")
             if system.failover_time is not None:
-                self._post_acks[key] = value
-
-    def _stale_writer(self) -> Generator[Any, Any, None]:
-        """Bound to east; keeps writing there through the cut and past the
-        takeover. Fencing eventually hands it StaleEpochError and it
-        fails over; without fencing nobody ever tells it."""
-        sim = self._sim
-        system = self._system
-        rng = sim.rng.stream("chaos.gameday.stale")
-        deposed = False
-        while True:
-            think = self.write_interval * rng.uniform(0.5, 1.5)
-            if sim.now + think > self.horizon:
-                return
-            yield Timeout(think)
-            seq = next(self._writer_seq)
-            key, value = self._key(seq), f"s{seq}"
-            if deposed:
-                yield from system.submit({key: value})
-                if system.failover_time is not None:
-                    self._post_acks[key] = value
-                continue
-            try:
-                yield from system.submit_to("east", {key: value})
-            except StaleEpochError:
-                deposed = True
-                sim.metrics.inc("chaos.gameday.stale_rejected")
-                continue
-            except TimeoutError_:
-                continue
-            if system.failover_time is not None:
-                sim.metrics.inc("chaos.gameday.stale_acks")
-
-    # ------------------------------------------------------------------
-    # Dynamo writers
-
-    def _dynamo_writer(
-        self, client: Any, acked: Dict[str, int]
-    ) -> Generator[Any, Any, None]:
-        """Unique-key puts from the third DC: each acknowledged write is
-        its own fact — 'lost' has no merge ambiguity to hide behind."""
-        sim = self._sim
-        rng = sim.rng.stream(f"chaos.gameday.{client.name}")
-        seq = 0
-        while True:
-            delay = self.put_interval * rng.uniform(0.7, 1.3)
-            if sim.now + delay > self.horizon:
-                return
-            yield Timeout(delay)
-            seq += 1
-            key, value = f"{client.name}-w{seq}", seq
-            try:
-                yield from client.put(key, value)
-            except (QuorumUnavailable, TimeoutError_, RpcError,
-                    CrashedError, SimulationError):
-                sim.metrics.inc("chaos.gameday.failed_puts")
-                continue
-            acked[key] = value
-            sim.metrics.inc("chaos.gameday.acked_puts")
-
-    @staticmethod
-    def _missing_writes(
-        cluster: DynamoCluster, acked: Dict[str, int]
-    ) -> List[Tuple[str, int]]:
-        missing = []
-        for key, value in acked.items():
-            present = any(
-                any(v.value == value for v in node.versions_of(key))
-                for node in cluster.nodes.values()
-                if cluster.alive(node.name)
-            )
-            if not present:
-                missing.append((key, value))
-        return missing
+                clients.post_acks[key] = value
 
     # ------------------------------------------------------------------
     # Invariants
-
-    def _check_epoch_monotonic(self) -> Optional[str]:
-        epoch = self._system.epoch
-        if epoch < self._last_epoch:
-            return f"epoch went backwards: {self._last_epoch} -> {epoch}"
-        self._last_epoch = epoch
-        return None
 
     def _check_escrow_conserved(self) -> Optional[str]:
         """The account's committed value equals the opening balance plus
@@ -508,25 +414,5 @@ class GameDayScenario:
             return (
                 f"escrow value {self._escrow.value} != opening "
                 f"{self.escrow_initial} + committed {self._escrow_committed}"
-            )
-        return None
-
-    def _check_no_lost_update(self) -> Optional[str]:
-        """Every write acked by the post-takeover regime still holds its
-        value at the serving primary at quiesce. The deposed east's
-        healed tail overwriting one is the §5.1 lost update."""
-        state = self._system.primary.state
-        lost = [
-            (key, value, state.get(key))
-            for key, value in sorted(self._post_acks.items())
-            if state.get(key) != value
-        ]
-        if lost:
-            self.lost_updates = len(lost)
-            self._sim.metrics.inc("chaos.gameday.lost_updates", len(lost))
-            key, value, found = lost[0]
-            return (
-                f"{len(lost)} acked writes lost (e.g. {key}={value!r} "
-                f"overwritten by {found!r})"
             )
         return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.scheduler import Simulator
@@ -260,5 +260,48 @@ def no_lost_cart_adds(
         if missing:
             return f"lost adds: {missing}"
         return None
+
+    return check
+
+
+def missing_writes(cluster: Any, acked: Mapping[str, Any]) -> List[Tuple[str, Any]]:
+    """Acked unique-key writes whose value no live Dynamo node holds. A
+    value kept only by a crashed node counts as missing."""
+    missing = []
+    for key, value in acked.items():
+        present = any(
+            any(v.value == value for v in node.versions_of(key))
+            for node in cluster.nodes.values()
+            if cluster.alive(node.name)
+        )
+        if not present:
+            missing.append((key, value))
+    return missing
+
+
+class NoAckedWriteLost:
+    """Check: every acknowledged unique-key write is still readable from a
+    live node of the (final) ring. ``where`` finishes the violation text
+    ("missing from the ring"); ``lost`` keeps what the last check found."""
+
+    def __init__(self, cluster: Any, acked: Mapping[str, Any], where: str) -> None:
+        self.cluster = cluster
+        self.acked = acked
+        self.where = where
+        self.lost: List[Tuple[str, Any]] = []
+
+    def __call__(self) -> Optional[str]:
+        self.lost = missing_writes(self.cluster, self.acked)
+        if self.lost:
+            return f"{len(self.lost)} acked writes {self.where}, first: {self.lost[:5]}"
+        return None
+
+
+def reconverged(converged_at: Callable[[], Optional[float]], failure: str) -> Check:
+    """Check: the quiesce-time repair reached agreement (``converged_at``
+    returns its time, None if the rounds ran out); ``failure`` otherwise."""
+
+    def check() -> Optional[str]:
+        return failure if converged_at() is None else None
 
     return check

@@ -22,78 +22,18 @@ them, then heals the world and checks three claims:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from repro.chaos.engine import ChaosEngine, ChaosTargets
-from repro.chaos.invariants import InvariantMonitor
+from repro.chaos.invariants import InvariantMonitor, NoAckedWriteLost, reconverged
 from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
+from repro.chaos.skeleton import ChaosReport, CrashAdapter, unique_key_writer
 from repro.cluster.gossip_membership import ALIVE, views_converged
-from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
-from repro.errors import (
-    CrashedError,
-    SimulationError,
-    TimeoutError_,
-)
-from repro.net.rpc import RpcError
+from repro.dynamo.cluster import DynamoCluster
+from repro.errors import SimulationError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 from repro.workload.zipf import ZipfKeyGenerator, zipf_open_loop
-
-_WORKLOAD_ERRORS = (
-    QuorumUnavailable, TimeoutError_, RpcError, CrashedError, SimulationError,
-)
-
-
-class _GossipingNode:
-    """Idempotent crash/restart adapter: a crashed node serves nothing
-    and *computes* nothing — its membership gossip loop stops with it
-    (a corpse spreads no rumors, and suspects nobody)."""
-
-    def __init__(
-        self, cluster: DynamoCluster, name: str, horizon: float
-    ) -> None:
-        self.cluster = cluster
-        self.name = name
-        self.horizon = horizon
-        self.up = True
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self.cluster.crash(self.name)
-        self.cluster.membership_gossips[self.name].stop()
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self.cluster.restart(self.name)
-        # Resumes only if the horizon is still ahead; the quiesce-time
-        # restarts from engine.restore() fall through (the scenario
-        # drives convergence rounds explicitly then).
-        self.cluster.membership_gossips[self.name].run(self.horizon)
-
-
-class _CrashableClient:
-    """Idempotent crash/restart over a bare client endpoint."""
-
-    def __init__(self, client: Any) -> None:
-        self.client = client
-        self.up = True
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self.client.endpoint.stop(cause)
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self.client.endpoint.restart()
 
 
 class MembershipDivergenceScenario:
@@ -101,6 +41,7 @@ class MembershipDivergenceScenario:
     partitions, lossy links, and crash/restart."""
 
     name = "membership_divergence"
+    policies = ("gossip",)
 
     def __init__(
         self,
@@ -114,7 +55,7 @@ class MembershipDivergenceScenario:
         suspicion_timeout: float = 1.0,
         policy: str = "gossip",
     ) -> None:
-        if policy != "gossip":
+        if policy not in self.policies:
             raise SimulationError(
                 f"unknown membership_divergence policy {policy!r}"
             )
@@ -171,28 +112,29 @@ class MembershipDivergenceScenario:
         zipf_client = cluster.client("zipf", view_of="node1")
 
         targets: Dict[str, Any] = {
-            name: _GossipingNode(cluster, name, self.horizon)
+            name: CrashAdapter(
+                lambda _cause, n=name: self._crash_node(cluster, n),
+                lambda n=name: self._restart_node(cluster, n),
+            )
             for name in cluster.nodes
         }
-        targets["writer"] = _CrashableClient(writer)
-        targets["zipf"] = _CrashableClient(zipf_client)
+        for client in (writer, zipf_client):
+            targets[client.name] = CrashAdapter(
+                client.endpoint.stop, client.endpoint.restart
+            )
         engine = ChaosEngine(
             ChaosTargets(sim, network=cluster.network, nodes=targets)
         )
         engine.install(plan)
 
         acked: Dict[str, int] = {}
-        results: Dict[str, Any] = {
-            "lost": [], "stuck": [], "converged_at": None,
-            "divergent_samples": 0,
-        }
+        results: Dict[str, Any] = {"stuck": [], "converged_at": None}
         monitor = InvariantMonitor(sim)
         monitor.register(
             "views-converge-after-heal",
-            lambda: (
-                None if results["converged_at"] is not None
-                else "views never reached entry-for-entry agreement "
-                     "after the heal"
+            reconverged(
+                lambda: results["converged_at"],
+                "views never reached entry-for-entry agreement after the heal",
             ),
             when="quiesce",
         )
@@ -207,11 +149,7 @@ class MembershipDivergenceScenario:
         )
         monitor.register(
             "no-acked-write-lost",
-            lambda: (
-                f"{len(results['lost'])} acked writes unreadable after "
-                f"heal, first: {results['lost'][:5]}"
-                if results["lost"] else None
-            ),
+            NoAckedWriteLost(cluster, acked, "unreadable after heal"),
             when="quiesce",
         )
 
@@ -220,7 +158,11 @@ class MembershipDivergenceScenario:
             keyspace=self.zipf_keyspace, theta=0.99, prefix="mk",
         )
         sim.spawn(
-            self._writer(sim, writer, acked), name="chaos.mship.writer"
+            unique_key_writer(
+                sim, writer, acked, self.put_interval, self.horizon,
+                stream="chaos.mship.writer", metrics="chaos.mship",
+            ),
+            name="chaos.mship.writer",
         )
         sim.spawn(
             zipf_open_loop(
@@ -230,8 +172,7 @@ class MembershipDivergenceScenario:
             name="chaos.mship.zipf",
         )
         sim.spawn(
-            self._divergence_sampler(sim, cluster, results),
-            name="chaos.mship.sampler",
+            self._divergence_sampler(sim, cluster), name="chaos.mship.sampler"
         )
         sim.run(until=self.horizon)
 
@@ -264,45 +205,28 @@ class MembershipDivergenceScenario:
         for _ in range(self.num_nodes + 2):
             sim.run_process(cluster.run_handoff_round())
             sim.run_process(cluster.run_merkle_round())
-        results["lost"] = self._missing_writes(cluster, acked)
         monitor.check_now("quiesce")
 
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+        return ChaosReport.of(self.name, seed, plan, monitor)
 
     # ------------------------------------------------------------------
 
-    def _writer(
-        self, sim: Simulator, client: Any, acked: Dict[str, int]
-    ) -> Generator:
-        """Unique-key puts routed by one node's (possibly stale) view —
-        every ack is a durability promise made while the truth was in
-        dispute."""
-        rng = sim.rng.stream("chaos.mship.writer")
-        seq = 0
-        while True:
-            delay = self.put_interval * rng.uniform(0.7, 1.3)
-            if sim.now + delay > self.horizon:
-                return
-            yield Timeout(delay)
-            seq += 1
-            key, value = f"w{seq}", seq
-            try:
-                yield from client.put(key, value)
-            except _WORKLOAD_ERRORS:
-                sim.metrics.inc("chaos.mship.failed_puts")
-                continue
-            acked[key] = value
-            sim.metrics.inc("chaos.mship.acked_puts")
+    def _crash_node(self, cluster: DynamoCluster, name: str) -> None:
+        """A crashed node serves nothing and *computes* nothing: its
+        membership gossip loop stops with it (a corpse spreads no rumors,
+        and suspects nobody)."""
+        cluster.crash(name)
+        cluster.membership_gossips[name].stop()
+
+    def _restart_node(self, cluster: DynamoCluster, name: str) -> None:
+        cluster.restart(name)
+        # Resumes only if the horizon is still ahead; the quiesce-time
+        # restarts from engine.restore() fall through (the scenario
+        # drives convergence rounds explicitly then).
+        cluster.membership_gossips[name].run(self.horizon)
 
     def _divergence_sampler(
-        self, sim: Simulator, cluster: DynamoCluster, results: Dict[str, Any]
+        self, sim: Simulator, cluster: DynamoCluster
     ) -> Generator:
         """Cadence sampling of how split the opinions are: the count of
         ticks on which live nodes' views disagreed (the divergence
@@ -315,7 +239,6 @@ class MembershipDivergenceScenario:
                 if cluster.alive(name)
             ]
             if not views_converged(live_views):
-                results["divergent_samples"] += 1
                 sim.metrics.inc("chaos.mship.divergent_ticks")
 
     def _stuck_suspicions(
@@ -334,18 +257,3 @@ class MembershipDivergenceScenario:
                 if status != ALIVE:
                     stuck.append((viewer, name, status))
         return stuck
-
-    def _missing_writes(
-        self, cluster: DynamoCluster, acked: Dict[str, int]
-    ) -> List[Tuple[str, int]]:
-        """Acked writes whose value no live node holds."""
-        missing = []
-        for key, value in acked.items():
-            present = any(
-                any(v.value == value for v in node.versions_of(key))
-                for node in cluster.nodes.values()
-                if cluster.alive(node.name)
-            )
-            if not present:
-                missing.append((key, value))
-        return missing

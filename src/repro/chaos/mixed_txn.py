@@ -38,7 +38,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from repro.chaos.engine import ChaosEngine, ChaosTargets
 from repro.chaos.invariants import InvariantMonitor
 from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
+from repro.chaos.skeleton import ChaosReport
 from repro.core.operation import Operation
 from repro.errors import SimulationError
 from repro.resources import FungiblePool
@@ -149,14 +149,7 @@ class MixedTxnScenario:
         monitor.check_now("quiesce")
         system.stop()
 
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+        return ChaosReport.of(self.name, seed, plan, monitor)
 
     # ------------------------------------------------------------------
 

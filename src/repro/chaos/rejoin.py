@@ -19,54 +19,28 @@ re-converges** — with ``time_to_converged`` measured from quiesce start.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.chaos.engine import ChaosEngine, ChaosTargets
-from repro.chaos.invariants import InvariantMonitor
+from repro.chaos.invariants import InvariantMonitor, NoAckedWriteLost, reconverged
 from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
-from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
-from repro.errors import (
-    CrashedError,
-    SimulationError,
-    TimeoutError_,
+from repro.chaos.skeleton import (
+    ChaosReport,
+    CrashAdapter,
+    repair_until_converged,
+    unique_key_writer,
 )
-from repro.net.rpc import RpcError
+from repro.dynamo.cluster import DynamoCluster
+from repro.errors import SimulationError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
-
-
-class _ColdNode:
-    """Idempotent crash/restart adapter using the *cold* path: crash loses
-    the store, restart seeds from the snapshot (spawned — rejoin takes
-    disk time)."""
-
-    def __init__(self, sim: Simulator, cluster: DynamoCluster, name: str) -> None:
-        self.sim = sim
-        self.cluster = cluster
-        self.name = name
-        self.up = True
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self.cluster.cold_crash(self.name)
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self.sim.spawn(
-            self.cluster.cold_restart(self.name),
-            name=f"chaos.rejoin.restart.{self.name}",
-        )
 
 
 class RejoinScenario:
     """Unique-key writers against a ring under rolling cold restarts."""
 
     name = "rejoin"
+    policies = ("snapshot", "no-snapshot")
 
     def __init__(
         self,
@@ -78,7 +52,7 @@ class RejoinScenario:
         snapshot_cadence: Optional[float] = 1.0,
         policy: str = "snapshot",
     ) -> None:
-        if policy not in ("snapshot", "no-snapshot"):
+        if policy not in self.policies:
             raise SimulationError(f"unknown rejoin policy {policy!r}")
         if not 0.0 < crash_fraction <= 0.5:
             raise SimulationError(f"crash fraction {crash_fraction} not in (0, 0.5]")
@@ -91,6 +65,8 @@ class RejoinScenario:
         self.snapshot_cadence = (
             snapshot_cadence if policy == "snapshot" else None
         )
+        # Filled in by run(): when the quiesce repair rounds converged.
+        self.converged_at: Optional[float] = None
 
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"node{i}" for i in range(self.num_nodes))
@@ -126,10 +102,17 @@ class RejoinScenario:
         )
         client = cluster.client("writer")
 
-        # Node targets cold-crash and spawn their own rejoin, so even a
+        # Node targets cold-crash (store lost) and restart by spawning their
+        # own snapshot-seeded rejoin (it takes disk time), so even a
         # hand-written plan with crash episodes exercises the cold path.
         targets = {
-            name: _ColdNode(sim, cluster, name) for name in self.node_names()
+            name: CrashAdapter(
+                lambda _cause, n=name: cluster.cold_crash(n),
+                lambda n=name: sim.spawn(
+                    cluster.cold_restart(n), name=f"chaos.rejoin.restart.{n}"
+                ),
+            )
+            for name in self.node_names()
         }
         engine = ChaosEngine(
             ChaosTargets(sim, network=cluster.network, nodes=targets)
@@ -137,27 +120,28 @@ class RejoinScenario:
         engine.install(plan)
 
         acked: Dict[str, int] = {}
-        results: Dict[str, Any] = {"lost": [], "converged_at": None}
         monitor = InvariantMonitor(sim)
         monitor.register(
             "no-acked-write-lost",
-            lambda: (
-                f"{len(results['lost'])} acked writes missing from the "
-                f"ring, first: {results['lost'][:5]}"
-                if results["lost"] else None
-            ),
+            NoAckedWriteLost(cluster, acked, "missing from the ring"),
             when="quiesce",
         )
         monitor.register(
             "ring-reconverges",
-            lambda: (
-                None if results["converged_at"] is not None
-                else "owners never agreed after repair rounds"
+            reconverged(
+                lambda: self.converged_at,
+                "owners never agreed after repair rounds",
             ),
             when="quiesce",
         )
 
-        sim.spawn(self._workload(sim, client, acked), name="chaos.rejoin.workload")
+        sim.spawn(
+            unique_key_writer(
+                sim, client, acked, self.put_interval, self.horizon,
+                stream="chaos.rejoin.workload", metrics="chaos.rejoin",
+            ),
+            name="chaos.rejoin.workload",
+        )
         sim.spawn(
             self._rolling_restarts(sim, cluster), name="chaos.rejoin.cycle"
         )
@@ -171,53 +155,15 @@ class RejoinScenario:
         for name in self.node_names():
             if not cluster.alive(name):
                 sim.run_process(cluster.cold_restart(name))
-        for _ in range(self.num_nodes + 2):
-            sim.run_process(cluster.run_handoff_round())
-            sim.run_process(cluster.run_merkle_round())
-            if all(cluster.converged_on(key) for key in acked):
-                results["converged_at"] = sim.now
-                break
-        if results["converged_at"] is not None:
-            sim.metrics.observe(
-                "chaos.rejoin.time_to_converged",
-                results["converged_at"] - quiesce_start,
-            )
-        results["lost"] = self._missing_writes(cluster, acked)
+        self.converged_at = repair_until_converged(
+            sim, cluster, acked, self.num_nodes + 2, cluster.run_merkle_round,
+            "chaos.rejoin.time_to_converged", since=quiesce_start,
+        )
         monitor.check_now("quiesce")
 
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+        return ChaosReport.of(self.name, seed, plan, monitor)
 
     # ------------------------------------------------------------------
-
-    def _workload(
-        self, sim: Simulator, client: Any, acked: Dict[str, int]
-    ) -> Generator:
-        """Unique-key puts: every acknowledged write is its own fact, so
-        'lost' has no merge ambiguity to hide behind."""
-        rng = sim.rng.stream("chaos.rejoin.workload")
-        seq = 0
-        while True:
-            delay = self.put_interval * rng.uniform(0.7, 1.3)
-            if sim.now + delay > self.horizon:
-                return
-            yield Timeout(delay)
-            seq += 1
-            key, value = f"w{seq}", seq
-            try:
-                yield from client.put(key, value)
-            except (QuorumUnavailable, TimeoutError_, RpcError,
-                    CrashedError, SimulationError):
-                sim.metrics.inc("chaos.rejoin.failed_puts")
-                continue
-            acked[key] = value
-            sim.metrics.inc("chaos.rejoin.acked_puts")
 
     def _rolling_restarts(
         self, sim: Simulator, cluster: DynamoCluster
@@ -244,18 +190,3 @@ class RejoinScenario:
             yield from cluster.run_handoff_round()
             yield from cluster.run_merkle_round()
             yield Timeout(0.5)
-
-    def _missing_writes(
-        self, cluster: DynamoCluster, acked: Dict[str, int]
-    ) -> List[Tuple[str, int]]:
-        """Acked writes whose value no live node holds."""
-        missing = []
-        for key, value in acked.items():
-            present = any(
-                any(v.value == value for v in node.versions_of(key))
-                for node in cluster.nodes.values()
-                if cluster.alive(node.name)
-            )
-            if not present:
-                missing.append((key, value))
-        return missing

@@ -34,7 +34,7 @@ from typing import Any, Dict, Generator, Optional, Set, Tuple
 from repro.chaos.engine import ChaosEngine, ChaosTargets
 from repro.chaos.invariants import InvariantMonitor
 from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
+from repro.chaos.skeleton import ChaosReport, CrashAdapter
 from repro.errors import (
     BreakerOpenError,
     CrashedError,
@@ -55,38 +55,11 @@ from repro.sim.scheduler import Simulator
 from repro.sim.sync import Lock
 
 
-class _CrashableServer:
-    """Crash/restart adapter for the storm's server (idempotent).
-
-    A crash kills the endpoint (which fail-fasts every in-flight
-    handler) and abandons the serialization lock — in-memory state dies
-    with the process, so the restart gets a fresh lock and a new
-    incarnation number (the scenario's at-most-once claims are
-    per-incarnation, exactly like the volatile dedup cache)."""
-
-    def __init__(self, scenario: "RetryStormScenario") -> None:
-        self.scenario = scenario
-        self.up = True
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self.scenario._server.stop(cause)
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self.scenario._incarnation += 1
-        self.scenario._lock = Lock(self.scenario._sim, name="retrystorm.server")
-        self.scenario._server.restart()
-
-
 class RetryStormScenario:
     """Fixed-timer reissue vs the resilience stack, same slow server."""
 
     name = "retry-storm"
+    policies = ("naive", "resilient")
 
     def __init__(
         self,
@@ -105,7 +78,7 @@ class RetryStormScenario:
         deadline: float = 2.0,
         cadence: float = 1.0,
     ) -> None:
-        if policy not in ("naive", "resilient"):
+        if policy not in self.policies:
             raise SimulationError(f"unknown retry-storm policy {policy!r}")
         self.policy = policy
         self.num_clients = num_clients
@@ -176,7 +149,8 @@ class RetryStormScenario:
             clients.append(client)
 
         engine = ChaosEngine(ChaosTargets(
-            sim, network=network, nodes={"server": _CrashableServer(self)},
+            sim, network=network,
+            nodes={"server": CrashAdapter(server.stop, self._restart_server)},
         ))
         engine.install(plan)
 
@@ -201,17 +175,20 @@ class RetryStormScenario:
         sim.run(until=self.horizon + 5.0)
         monitor.check_now("quiesce")
 
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+        return ChaosReport.of(self.name, seed, plan, monitor)
 
     # ------------------------------------------------------------------
     # Server
+
+    def _restart_server(self) -> None:
+        """A crash killed the endpoint (fail-fasting every in-flight
+        handler) and abandoned the serialization lock: in-memory state
+        dies with the process, so the restart gets a fresh lock and a new
+        incarnation number (the scenario's at-most-once claims are
+        per-incarnation, exactly like the volatile dedup cache)."""
+        self._incarnation += 1
+        self._lock = Lock(self._sim, name="retrystorm.server")
+        self._server.restart()
 
     def _in_slow_window(self) -> bool:
         return self.slow_start <= self._sim.now < self.slow_end

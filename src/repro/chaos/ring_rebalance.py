@@ -20,32 +20,28 @@ quiesce, with ``time_to_converged`` measured.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.chaos.engine import ChaosEngine, ChaosTargets
-from repro.chaos.invariants import InvariantMonitor
+from repro.chaos.invariants import InvariantMonitor, NoAckedWriteLost, reconverged
 from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
-from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
-from repro.errors import (
-    CrashedError,
-    SimulationError,
-    TimeoutError_,
+from repro.chaos.skeleton import (
+    ChaosReport,
+    repair_until_converged,
+    unique_key_writer,
 )
-from repro.net.rpc import RpcError
+from repro.dynamo.cluster import DynamoCluster
+from repro.errors import SimulationError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 from repro.workload.zipf import ZipfKeyGenerator, zipf_open_loop
-
-_WORKLOAD_ERRORS = (
-    QuorumUnavailable, TimeoutError_, RpcError, CrashedError, SimulationError,
-)
 
 
 class RingRebalanceScenario:
     """Elastic-ring reshaping under zipf load and message chaos."""
 
     name = "ring_rebalance"
+    policies = ("elastic",)
 
     def __init__(
         self,
@@ -56,7 +52,7 @@ class RingRebalanceScenario:
         zipf_keyspace: int = 5_000,
         policy: str = "elastic",
     ) -> None:
-        if policy != "elastic":
+        if policy not in self.policies:
             raise SimulationError(f"unknown ring_rebalance policy {policy!r}")
         if num_nodes < 5:
             raise SimulationError("ring_rebalance needs >= 5 nodes (N=3 "
@@ -67,6 +63,8 @@ class RingRebalanceScenario:
         self.zipf_rate = zipf_rate
         self.zipf_keyspace = zipf_keyspace
         self.policy = policy
+        # Filled in by run(): when the quiesce repair rounds converged.
+        self.converged_at: Optional[float] = None
 
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"node{i}" for i in range(self.num_nodes))
@@ -104,24 +102,17 @@ class RingRebalanceScenario:
         engine.install(plan)
 
         acked: Dict[str, int] = {}
-        results: Dict[str, Any] = {
-            "lost": [], "converged_at": None, "reshapes": 0,
-        }
         monitor = InvariantMonitor(sim)
         monitor.register(
             "no-acked-write-lost",
-            lambda: (
-                f"{len(results['lost'])} acked writes missing from the "
-                f"reshaped ring, first: {results['lost'][:5]}"
-                if results["lost"] else None
-            ),
+            NoAckedWriteLost(cluster, acked, "missing from the reshaped ring"),
             when="quiesce",
         )
         monitor.register(
             "ring-reconverges",
-            lambda: (
-                None if results["converged_at"] is not None
-                else "owners never agreed after the reshape + repair rounds"
+            reconverged(
+                lambda: self.converged_at,
+                "owners never agreed after the reshape + repair rounds",
             ),
             when="quiesce",
         )
@@ -131,7 +122,11 @@ class RingRebalanceScenario:
             keyspace=self.zipf_keyspace, theta=0.99, prefix="zk",
         )
         sim.spawn(
-            self._writer(sim, writer, acked), name="chaos.rebalance.writer"
+            unique_key_writer(
+                sim, writer, acked, self.put_interval, self.horizon,
+                stream="chaos.rebalance.writer", metrics="chaos.rebalance",
+            ),
+            name="chaos.rebalance.writer",
         )
         sim.spawn(
             zipf_open_loop(
@@ -140,66 +135,24 @@ class RingRebalanceScenario:
             ),
             name="chaos.rebalance.zipf",
         )
-        sim.spawn(
-            self._reshape(sim, cluster, results), name="chaos.rebalance.reshape"
-        )
+        sim.spawn(self._reshape(sim, cluster), name="chaos.rebalance.reshape")
         sim.run(until=self.horizon)
 
         # Quiesce: heal the fabric, then repair until every acked key's
         # (current!) owners agree — timing it.
         engine.restore()
         sim.run()  # drain in-flight reshapes and requests
-        quiesce_start = sim.now
-        for _ in range(self.num_nodes + 4):
-            sim.run_process(cluster.run_handoff_round())
-            sim.run_process(cluster.run_merkle_round())
-            if all(cluster.converged_on(key) for key in acked):
-                results["converged_at"] = sim.now
-                break
-        if results["converged_at"] is not None:
-            sim.metrics.observe(
-                "chaos.rebalance.time_to_converged",
-                results["converged_at"] - quiesce_start,
-            )
-        results["lost"] = self._missing_writes(cluster, acked)
+        self.converged_at = repair_until_converged(
+            sim, cluster, acked, self.num_nodes + 4, cluster.run_merkle_round,
+            "chaos.rebalance.time_to_converged",
+        )
         monitor.check_now("quiesce")
 
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+        return ChaosReport.of(self.name, seed, plan, monitor)
 
     # ------------------------------------------------------------------
 
-    def _writer(
-        self, sim: Simulator, client: Any, acked: Dict[str, int]
-    ) -> Generator:
-        """Unique-key puts: every acknowledged write is its own fact, so
-        'lost' has no sibling-merge ambiguity to hide behind."""
-        rng = sim.rng.stream("chaos.rebalance.writer")
-        seq = 0
-        while True:
-            delay = self.put_interval * rng.uniform(0.7, 1.3)
-            if sim.now + delay > self.horizon:
-                return
-            yield Timeout(delay)
-            seq += 1
-            key, value = f"w{seq}", seq
-            try:
-                yield from client.put(key, value)
-            except _WORKLOAD_ERRORS:
-                sim.metrics.inc("chaos.rebalance.failed_puts")
-                continue
-            acked[key] = value
-            sim.metrics.inc("chaos.rebalance.acked_puts")
-
-    def _reshape(
-        self, sim: Simulator, cluster: DynamoCluster, results: Dict[str, Any]
-    ) -> Generator:
+    def _reshape(self, sim: Simulator, cluster: DynamoCluster) -> Generator:
         """The seeded elasticity timeline: join, decommission, join —
         all mid-traffic, all while message chaos is live."""
         rng = sim.rng.stream("chaos.rebalance.reshape")
@@ -217,22 +170,6 @@ class RingRebalanceScenario:
                 stats = yield from cluster.join(target)
             else:
                 stats = yield from cluster.decommission(target)
-            results["reshapes"] += 1
             sim.metrics.inc(
                 "chaos.rebalance.versions_rebalanced", stats["versions_moved"]
             )
-
-    def _missing_writes(
-        self, cluster: DynamoCluster, acked: Dict[str, int]
-    ) -> List[Tuple[str, int]]:
-        """Acked writes whose value no live node in the final ring holds."""
-        missing = []
-        for key, value in acked.items():
-            present = any(
-                any(v.value == value for v in node.versions_of(key))
-                for node in cluster.nodes.values()
-                if cluster.alive(node.name)
-            )
-            if not present:
-                missing.append((key, value))
-        return missing

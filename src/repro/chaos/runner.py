@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chaos.plan import (
     ChaosPlan,
@@ -39,11 +39,8 @@ from repro.chaos.rejoin import RejoinScenario
 from repro.chaos.retrystorm import RetryStormScenario
 from repro.chaos.ring_rebalance import RingRebalanceScenario
 from repro.chaos.splitbrain import SplitBrainScenario
-from repro.chaos.scenarios import (
-    BankClearingScenario,
-    CartDynamoScenario,
-    ChaosReport,
-)
+from repro.chaos.scenarios import BankClearingScenario, CartDynamoScenario
+from repro.chaos.skeleton import ChaosReport
 from repro.errors import SimulationError
 from repro.parallel import parallel_map
 from repro.sim.metrics import MetricsRegistry
@@ -292,9 +289,10 @@ def _print_failure(case: FailingCase) -> None:
     print("    plan json: " + json.dumps(case.minimal_plan.to_dict()))
 
 
-def _sweep(scenario: Any, seeds: Sequence[int]) -> SweepResult:
-    runner = ChaosRunner(scenario)
-    result = runner.sweep(seeds)
+def _sweep(
+    scenario: Any, seeds: Sequence[int], spec: Optional[ChaosSpec] = None
+) -> SweepResult:
+    result = ChaosRunner(scenario, spec=spec).sweep(seeds)
     print(f"[{scenario.name}] policy={getattr(scenario, 'policy', '?')} "
           f"runs={result.runs} failing={len(result.failures)} "
           f"violation_rate={result.violation_rate:.2f}")
@@ -331,132 +329,64 @@ def _write_report(path: str, entries: List[dict]) -> None:
     print(f"invariant report -> {path}")
 
 
+def _smoke_cases() -> List[Tuple[Any, bool, Optional[int], Dict[str, Any]]]:
+    """The CI gate, in report order: (scenario, whether its planted bug
+    must be caught, how many of the seeds to sweep (None = all), spec
+    overrides). Every other configuration must sweep clean."""
+    short_txn = dict(
+        horizon=16.0, partition_start=4.0, partition_end=9.0, drain=8.0
+    )
+    return [
+        (BankClearingScenario(policy="correct"), False, None, {}),
+        (CartDynamoScenario(policy="correct"), False, None, {}),
+        # Rolling cold restarts lose no acked write under either rejoin
+        # discipline: the snapshot only changes what crosses the wire.
+        (RejoinScenario(policy="snapshot"), False, None, {}),
+        (RejoinScenario(policy="no-snapshot"), False, None, {}),
+        # Two joins and a decommission mid-traffic under message chaos.
+        (RingRebalanceScenario(), False, None, {}),
+        # Gossiped views diverge under partitions and flapping links, yet
+        # reconverge after heal and lose no acked write meanwhile.
+        (MembershipDivergenceScenario(), False, None, {}),
+        # A retry storm is a goodput catastrophe, not a correctness bug:
+        # the invariants hold under both client disciplines (E13
+        # measures the goodput gap).
+        (RetryStormScenario(policy="resilient"), False, None, {}),
+        (RetryStormScenario(policy="naive"), False, None, {}),
+        # A mid-stream partition pairs every wrong guess with one executed
+        # apology, whether it deposes the leader or strands a follower.
+        (MixedTxnScenario(cut="leader", **short_txn), False, None, {}),
+        (MixedTxnScenario(cut="minority", **short_txn), False, None, {}),
+        # Fenced takeover survives split brain; the unfenced ablation
+        # must be caught losing updates.
+        (SplitBrainScenario(policy="fenced"), False, None, {}),
+        (SplitBrainScenario(policy="unfenced"), True, None, {}),
+        # The geo game day: each run is a full multi-DC day, so two seeds.
+        (GameDayScenario(policy="fenced", detector="phi"), False, 2, {}),
+        # Non-idempotent recovery needs a crash to fire.
+        (BankClearingScenario(policy="amnesiac-restart"), True, None,
+         {"min_crashes": 1}),
+    ]
+
+
 def smoke(seeds: Sequence[int], report_path: Optional[str] = None) -> int:
-    """The CI gate: correct policies stay clean; a broken policy is
-    found, shrunk, and replays exactly."""
+    """The CI gate: correct policies stay clean; each planted bug is
+    found, shrunk, and its minimal plan replays exactly."""
     failed = False
     entries: List[dict] = []
-
-    bank_scenario = BankClearingScenario(policy="correct")
-    clean = _sweep(bank_scenario, seeds)
-    entries.append(_report_entry(bank_scenario, clean))
-    if clean.failures:
-        print("FAIL: correct bank policy violated an invariant")
-        failed = True
-
-    cart_scenario = CartDynamoScenario(policy="correct")
-    cart = _sweep(cart_scenario, seeds)
-    entries.append(_report_entry(cart_scenario, cart))
-    if cart.failures:
-        print("FAIL: correct cart policy violated an invariant")
-        failed = True
-
-    # Rolling cold restarts must lose no acked write under either rejoin
-    # discipline — the snapshot only changes how much crosses the wire.
-    for rejoin_policy in ("snapshot", "no-snapshot"):
-        rejoin_scenario = RejoinScenario(policy=rejoin_policy)
-        rejoin = _sweep(rejoin_scenario, seeds)
-        entries.append(_report_entry(rejoin_scenario, rejoin))
-        if rejoin.failures:
-            print(f"FAIL: {rejoin_policy} rejoin policy violated an invariant")
+    for scenario, planted, limit, overrides in _smoke_cases():
+        result = _sweep(scenario, seeds[:limit], scenario.spec(**overrides))
+        entries.append(_report_entry(scenario, result))
+        label = f"{scenario.name} policy={getattr(scenario, 'policy', '?')}"
+        if planted and not result.failures:
+            print(f"FAIL: {label} was not caught")
             failed = True
-
-    # The elastic ring reshapes mid-traffic (two joins + a decommission
-    # under message chaos) and must lose no acked write and re-converge.
-    rebalance_scenario = RingRebalanceScenario()
-    rebalance = _sweep(rebalance_scenario, seeds)
-    entries.append(_report_entry(rebalance_scenario, rebalance))
-    if rebalance.failures:
-        print("FAIL: elastic ring_rebalance violated an invariant")
-        failed = True
-
-    # Gossiped membership views diverge under partitions and flapping
-    # links, but must reconverge after heal, never let a refuted
-    # suspicion stick, and lose no acked write while opinions disagree.
-    mship_scenario = MembershipDivergenceScenario()
-    mship = _sweep(mship_scenario, seeds)
-    entries.append(_report_entry(mship_scenario, mship))
-    if mship.failures:
-        print("FAIL: membership_divergence violated an invariant")
-        failed = True
-
-    # A retry storm is a goodput catastrophe, not a correctness bug:
-    # the invariants must hold under BOTH client disciplines (E13
-    # measures the goodput gap separately).
-    for storm_policy in ("resilient", "naive"):
-        storm_scenario = RetryStormScenario(policy=storm_policy)
-        storm = _sweep(storm_scenario, seeds)
-        entries.append(_report_entry(storm_scenario, storm))
-        if storm.failures:
-            print(f"FAIL: {storm_policy} retry-storm policy violated an invariant")
+        if result.failures and not planted:
+            print(f"FAIL: {label} violated an invariant")
             failed = True
-
-    # Mixed-consistency transactions: a mid-stream partition (short
-    # config) must leave every wrong guess paired with exactly one
-    # executed apology, the escrow conserved, and strong acks unmoved —
-    # both when the cut deposes the leader and when it strands a follower.
-    for txn_cut in ("leader", "minority"):
-        txn_scenario = MixedTxnScenario(
-            cut=txn_cut, horizon=16.0, partition_start=4.0,
-            partition_end=9.0, drain=8.0,
-        )
-        txn = _sweep(txn_scenario, seeds)
-        entries.append(_report_entry(txn_scenario, txn))
-        if txn.failures:
-            print(f"FAIL: mixed-txn ({txn_cut} cut) violated an invariant")
+        if any(not case.replay_matches for case in result.failures):
+            print(f"FAIL: a minimal {label} plan did not replay bit-for-bit")
             failed = True
-
-    # Fenced automatic takeover survives the split-brain ambiguity...
-    fenced_scenario = SplitBrainScenario(policy="fenced")
-    fenced = _sweep(fenced_scenario, seeds)
-    entries.append(_report_entry(fenced_scenario, fenced))
-    if fenced.failures:
-        print("FAIL: fenced split-brain policy violated an invariant")
-        failed = True
-
-    # ...and the unfenced ablation must be caught losing updates, with
-    # the shrunk plan replaying exactly — like the amnesiac bank below.
-    unfenced_scenario = SplitBrainScenario(policy="unfenced")
-    unfenced = ChaosRunner(unfenced_scenario).sweep(seeds)
-    entries.append(_report_entry(unfenced_scenario, unfenced))
-    print(f"[{unfenced_scenario.name}] policy=unfenced "
-          f"runs={unfenced.runs} failing={len(unfenced.failures)} "
-          f"violation_rate={unfenced.violation_rate:.2f}")
-    for case in unfenced.failures:
-        _print_failure(case)
-    if not unfenced.failures:
-        print("FAIL: unfenced split-brain policy was not caught")
-        failed = True
-    if any(not case.replay_matches for case in unfenced.failures):
-        print("FAIL: a minimal split-brain plan did not replay bit-for-bit")
-        failed = True
-
-    # The geo game day: 100+ processes across three DCs, WAN cut + retry
-    # storm + slow disk at once. Fenced + phi-accrual must come out with
-    # zero violations. Two seeds — each run is a full multi-DC day.
-    game_day_scenario = GameDayScenario(policy="fenced", detector="phi")
-    game_day = _sweep(game_day_scenario, seeds[:2])
-    entries.append(_report_entry(game_day_scenario, game_day))
-    if game_day.failures:
-        print("FAIL: fenced+phi game day violated an invariant")
-        failed = True
-
-    broken_scenario = BankClearingScenario(policy="amnesiac-restart")
-    broken = ChaosRunner(
-        broken_scenario, spec=broken_scenario.spec(min_crashes=1)
-    ).sweep(seeds)
-    entries.append(_report_entry(broken_scenario, broken))
-    print(f"[{broken_scenario.name}] policy=amnesiac-restart "
-          f"runs={broken.runs} failing={len(broken.failures)} "
-          f"violation_rate={broken.violation_rate:.2f}")
-    for case in broken.failures:
-        _print_failure(case)
-    if not broken.failures:
-        print("FAIL: amnesiac-restart policy was not caught")
-        failed = True
-    if any(not case.replay_matches for case in broken.failures):
-        print("FAIL: a minimal plan did not replay bit-for-bit")
-        failed = True
 
     if report_path is not None:
         _write_report(report_path, entries)

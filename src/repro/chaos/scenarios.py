@@ -6,8 +6,10 @@ through the :class:`~repro.chaos.engine.ChaosEngine`, drives a seeded
 workload, restores the world at the horizon (heal, repair, restart),
 forces convergence, and reports every invariant violation. Everything is
 a pure function of (seed, plan), so a failing report replays exactly.
+Every scenario builds its run from the shared pieces in
+:mod:`repro.chaos.skeleton`.
 
-Two scenarios ship with the repo:
+This module holds the two application scenarios:
 
 - :class:`BankClearingScenario` — §6.2 replicated check clearing over
   the gossip fabric. Its ``policy`` knob deliberately breaks the
@@ -22,8 +24,8 @@ Two scenarios ship with the repo:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Dict, Generator, List, Tuple
 
 from repro.bank.account import build_account_registry, overdraft_rule
 from repro.cart.service import CartService
@@ -31,7 +33,6 @@ from repro.cart.strategies import LwwCartStrategy, OpCartStrategy
 from repro.chaos.engine import ChaosEngine, ChaosTargets
 from repro.chaos.invariants import (
     InvariantMonitor,
-    Violation,
     balance_matches_entries,
     no_duplicate_debits,
     no_lost_cart_adds,
@@ -39,75 +40,26 @@ from repro.chaos.invariants import (
     replicas_converge,
 )
 from repro.chaos.plan import ChaosPlan, ChaosSpec
+from repro.chaos.skeleton import WORKLOAD_ERRORS, ChaosReport, CrashAdapter
 from repro.core.antientropy import sync_all
 from repro.core.operation import Operation
 from repro.core.rules import RuleEngine
-from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
-from repro.errors import (
-    CrashedError,
-    RuleViolation,
-    SimulationError,
-    TimeoutError_,
-)
+from repro.dynamo.cluster import DynamoCluster
+from repro.errors import RuleViolation, SimulationError
 from repro.gossip.cluster import GossipCluster
-from repro.net.rpc import RpcError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
-
-
-@dataclass(frozen=True)
-class ChaosReport:
-    """What one (seed, plan) run produced."""
-
-    scenario: str
-    seed: int
-    plan: ChaosPlan
-    violations: Tuple[Violation, ...]
-    counters: Dict[str, float]
-    end_time: float
-
-    @property
-    def failed(self) -> bool:
-        return bool(self.violations)
-
-    @property
-    def first_violation(self) -> Optional[Violation]:
-        return self.violations[0] if self.violations else None
 
 
 # ----------------------------------------------------------------------
 # Bank clearing over the gossip fabric
 
 
-class _GossipBranch:
-    """Crash/restart adapter for one gossip branch (idempotent, with the
-    scenario's restart-policy hook)."""
-
-    def __init__(self, scenario: "BankClearingScenario", gnode: Any) -> None:
-        self.scenario = scenario
-        self.gnode = gnode
-        self.up = True
-        self.restarts = 0
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self.gnode.crash(cause)
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self.restarts += 1
-        self.gnode.restart(until=self.scenario.horizon)
-        self.scenario._on_restart(self.gnode.replica, self.restarts)
-
-
 class BankClearingScenario:
     """Replicated check clearing under chaos, invariants watching."""
 
     name = "bank-clearing"
+    policies = ("correct", "amnesiac-restart", "branch-uniquifier")
 
     def __init__(
         self,
@@ -121,7 +73,7 @@ class BankClearingScenario:
         cadence: float = 1.0,
         policy: str = "correct",
     ) -> None:
-        if policy not in ("correct", "amnesiac-restart", "branch-uniquifier"):
+        if policy not in self.policies:
             raise SimulationError(f"unknown bank policy {policy!r}")
         self.num_replicas = num_replicas
         self.horizon = horizon
@@ -165,9 +117,13 @@ class BankClearingScenario:
             replica.integrate([opening])
         self._deposits_total = self.opening
         self._sim = sim
+        self._restarts: Counter = Counter()
 
         branches = {
-            name: _GossipBranch(self, gnode) for name, gnode in cluster.nodes.items()
+            name: CrashAdapter(
+                gnode.crash, lambda g=gnode: self._restart_branch(g)
+            )
+            for name, gnode in cluster.nodes.items()
         }
         engine = ChaosEngine(
             ChaosTargets(sim, network=cluster.network, nodes=branches)
@@ -194,26 +150,22 @@ class BankClearingScenario:
         sync_all(replicas, rounds=len(replicas) + 1)
         monitor.check_now("quiesce")
 
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+        return ChaosReport.of(self.name, seed, plan, monitor)
 
     # ------------------------------------------------------------------
 
-    def _on_restart(self, replica: Any, restart_count: int) -> None:
-        """The recovery routine run when a branch comes back up."""
+    def _restart_branch(self, gnode: Any) -> None:
+        """Bring a branch back up, then run its recovery routine."""
+        gnode.restart(until=self.horizon)
+        replica = gnode.replica
+        self._restarts[replica.name] += 1
         if self.policy != "amnesiac-restart":
             return
         # The bug: recovery "restores" the opening balance with a fresh
         # uniquifier instead of trusting the op log — money from nothing.
         recovery = Operation(
             "DEPOSIT", {"amount": self.opening},
-            uniquifier=f"recovery:{replica.name}:{restart_count}",
+            uniquifier=f"recovery:{replica.name}:{self._restarts[replica.name]}",
             origin=replica.name, ingress_time=self._sim.now,
         )
         replica.integrate([recovery])
@@ -288,32 +240,11 @@ class BankClearingScenario:
 # Shopping cart on Dynamo
 
 
-class _CrashableEndpoint:
-    """Idempotent crash/restart adapter over anything with an endpoint
-    (Dynamo node or bare client endpoint)."""
-
-    def __init__(self, crash_fn: Any, restart_fn: Any) -> None:
-        self._crash = crash_fn
-        self._restart = restart_fn
-        self.up = True
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self._crash()
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self._restart()
-
-
 class CartDynamoScenario:
     """One shopper against the Dynamo cart while the fabric misbehaves."""
 
     name = "cart-dynamo"
+    policies = ("correct", "lww")
 
     def __init__(
         self,
@@ -323,7 +254,7 @@ class CartDynamoScenario:
         policy: str = "correct",
         cart_key: str = "cart",
     ) -> None:
-        if policy not in ("correct", "lww"):
+        if policy not in self.policies:
             raise SimulationError(f"unknown cart policy {policy!r}")
         self.num_nodes = num_nodes
         self.horizon = horizon
@@ -363,14 +294,13 @@ class CartDynamoScenario:
         ]
 
         targets: Dict[str, Any] = {
-            name: _CrashableEndpoint(node.crash, node.restart)
+            name: CrashAdapter(lambda _cause, n=node: n.crash(), node.restart)
             for name, node in cluster.nodes.items()
         }
         for service in shoppers:
-            client = service.client
-            targets[client.name] = _CrashableEndpoint(
-                lambda c=client: c.endpoint.stop("crash"),
-                lambda c=client: c.endpoint.restart(),
+            endpoint = service.client.endpoint
+            targets[service.client.name] = CrashAdapter(
+                lambda _cause, e=endpoint: e.stop("crash"), endpoint.restart
             )
         engine = ChaosEngine(ChaosTargets(sim, network=cluster.network, nodes=targets))
         engine.install(plan)
@@ -394,14 +324,7 @@ class CartDynamoScenario:
         final_view["view"] = sim.run_process(shoppers[0].view(self.cart_key))
         monitor.check_now("quiesce")
 
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+        return ChaosReport.of(self.name, seed, plan, monitor)
 
     def _workload(
         self, sim: Simulator, shoppers: List[CartService], acked: Dict[str, int]
@@ -418,8 +341,7 @@ class CartDynamoScenario:
             cart = shoppers[item_no % len(shoppers)]
             try:
                 yield from cart.add(self.cart_key, item)
-            except (QuorumUnavailable, TimeoutError_, RpcError,
-                    CrashedError, SimulationError):
+            except WORKLOAD_ERRORS:
                 # Not acknowledged: the shopper saw the failure, so losing
                 # this add would be an acceptable apology.
                 sim.metrics.inc("chaos.cart.failed_adds")

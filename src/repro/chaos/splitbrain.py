@@ -36,7 +36,7 @@ from typing import Any, Dict, Generator, Optional, Tuple
 from repro.chaos.engine import ChaosEngine, ChaosTargets
 from repro.chaos.invariants import InvariantMonitor
 from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
+from repro.chaos.skeleton import ChaosReport
 from repro.errors import SimulationError, StaleEpochError, TimeoutError_
 from repro.failover import FixedTimeoutDetector, LogshipFailover
 from repro.logship import LogShippingSystem, ShipMode
@@ -46,10 +46,110 @@ from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 
 
+class SplitBrainClients:
+    """The client side of the split-brain story over a log-shipping pair,
+    shared by :class:`SplitBrainScenario` and the game day.
+
+    It holds one write sequence over ``num_keys`` keys, the writes the
+    post-takeover regime acked, the stale client still bound to east, and
+    the two checks on what the regime promised. RNG streams and metrics
+    are named ``<prefix>.*``.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        system: LogShippingSystem,
+        prefix: str,
+        num_keys: int,
+        write_interval: float,
+    ) -> None:
+        self.sim = sim
+        self.system = system
+        self.prefix = prefix
+        self.num_keys = num_keys
+        self.write_interval = write_interval
+        #: key -> last value acked by the *current regime* after takeover.
+        self.post_acks: Dict[str, str] = {}
+        self.lost_updates = 0
+        self._seq = itertools.count(1)
+        self._last_epoch = system.epoch
+
+    def next_write(self) -> Tuple[int, str]:
+        """The next (sequence number, key) of the shared write sequence."""
+        seq = next(self._seq)
+        return seq, f"k{seq % self.num_keys}"
+
+    def stale_writer(self, until: float) -> Generator[Any, Any, None]:
+        """A client bound to east — it keeps writing there through the
+        partition and past the takeover, because nobody told it. Under
+        fencing it eventually gets :class:`StaleEpochError` and fails
+        over to the serving site; without fencing it is never told at
+        all."""
+        sim, system = self.sim, self.system
+        rng = sim.rng.stream(f"{self.prefix}.stale")
+        deposed = False
+        while True:
+            think = self.write_interval * rng.uniform(0.5, 1.5)
+            if sim.now + think > until:
+                return
+            yield Timeout(think)
+            seq, key = self.next_write()
+            value = f"s{seq}"
+            if deposed:
+                yield from system.submit({key: value})
+                if system.failover_time is not None:
+                    self.post_acks[key] = value
+                continue
+            try:
+                yield from system.submit_to("east", {key: value})
+            except StaleEpochError:
+                deposed = True
+                sim.metrics.inc(f"{self.prefix}.stale_rejected")
+                continue
+            except TimeoutError_:
+                continue
+            if system.failover_time is not None:
+                # East acked a write after it was deposed — the client
+                # walks away believing it committed.
+                sim.metrics.inc(f"{self.prefix}.stale_acks")
+
+    def check_epoch_monotonic(self) -> Optional[str]:
+        """Fencing tokens totally order regimes: the system epoch never
+        moves backwards."""
+        epoch = self.system.epoch
+        if epoch < self._last_epoch:
+            return f"epoch went backwards: {self._last_epoch} -> {epoch}"
+        self._last_epoch = epoch
+        return None
+
+    def check_no_lost_update(self) -> Optional[str]:
+        """Every write acked by the post-takeover regime must still hold
+        its value at the serving primary once everything settles. A
+        deposed primary's resurrected tail overwriting one is the §5.1
+        lost update."""
+        state = self.system.primary.state
+        lost = [
+            (key, value, state.get(key))
+            for key, value in sorted(self.post_acks.items())
+            if state.get(key) != value
+        ]
+        if lost:
+            self.lost_updates = len(lost)
+            self.sim.metrics.inc(f"{self.prefix}.lost_updates", len(lost))
+            key, value, found = lost[0]
+            return (
+                f"{len(lost)} acked writes lost (e.g. {key}={value!r} "
+                f"overwritten by {found!r})"
+            )
+        return None
+
+
 class SplitBrainScenario:
     """Fenced vs unfenced automatic takeover under a primary partition."""
 
     name = "split-brain"
+    policies = ("fenced", "unfenced")
 
     def __init__(
         self,
@@ -67,7 +167,7 @@ class SplitBrainScenario:
         cadence: float = 1.0,
         drain: float = 8.0,
     ) -> None:
-        if policy not in ("fenced", "unfenced"):
+        if policy not in self.policies:
             raise SimulationError(f"unknown split-brain policy {policy!r}")
         self.policy = policy
         self.horizon = horizon
@@ -125,10 +225,9 @@ class SplitBrainScenario:
         self._failover = failover
         failover.start()
 
-        #: key -> last value acked by the *current regime* after takeover.
-        self._post_acks: Dict[str, str] = {}
-        self._last_epoch = system.epoch
-        self._writer_seq = itertools.count(1)
+        clients = SplitBrainClients(
+            sim, system, "chaos.splitbrain", self.num_keys, self.write_interval
+        )
 
         if self.heartbeat_loss > 0.0:
             # The tradeoff sweep's knob: heartbeats (and only traffic from
@@ -147,13 +246,13 @@ class SplitBrainScenario:
         engine.install(plan)
 
         monitor = InvariantMonitor(sim)
-        monitor.register("epoch-monotonic", self._check_epoch_monotonic)
-        monitor.register("no-lost-update", self._check_no_lost_update,
+        monitor.register("epoch-monotonic", clients.check_epoch_monotonic)
+        monitor.register("no-lost-update", clients.check_no_lost_update,
                          when="quiesce")
         monitor.start(self.cadence, self.horizon)
 
-        sim.spawn(self._informed_writer(), name="chaos.splitbrain.informed")
-        sim.spawn(self._stale_writer(), name="chaos.splitbrain.stale")
+        sim.spawn(self._informed_writer(clients), name="chaos.splitbrain.informed")
+        sim.spawn(clients.stale_writer(self.horizon), name="chaos.splitbrain.stale")
         sim.run(until=self.horizon)
 
         engine.restore()
@@ -169,14 +268,7 @@ class SplitBrainScenario:
             convicted_at is not None and self.partition_start is None
         )
 
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+        return ChaosReport.of(self.name, seed, plan, monitor)
 
     # ------------------------------------------------------------------
     # The intrinsic ambiguity
@@ -191,12 +283,10 @@ class SplitBrainScenario:
         ])
 
     # ------------------------------------------------------------------
-    # Writers
 
-    def _key(self, seq: int) -> str:
-        return f"k{seq % self.num_keys}"
-
-    def _informed_writer(self) -> Generator[Any, Any, None]:
+    def _informed_writer(
+        self, clients: SplitBrainClients
+    ) -> Generator[Any, Any, None]:
         """A client that always reaches the *currently serving* site (it
         learns about takeovers instantly — the best case). Stops at the
         heal so its last acked values are what quiesce must still find."""
@@ -212,76 +302,9 @@ class SplitBrainScenario:
             if sim.now + think > stop_at:
                 return
             yield Timeout(think)
-            seq = next(self._writer_seq)
-            key, value = self._key(seq), f"v{seq}"
+            seq, key = clients.next_write()
+            value = f"v{seq}"
             yield from system.submit({key: value})
             sim.metrics.inc("chaos.splitbrain.informed_acks")
             if system.failover_time is not None:
-                self._post_acks[key] = value
-
-    def _stale_writer(self) -> Generator[Any, Any, None]:
-        """A client bound to east — it keeps writing there through the
-        partition and past the takeover, because nobody told it. Under
-        fencing it eventually gets :class:`StaleEpochError` and fails
-        over to the serving site; without fencing it is never told at
-        all."""
-        sim = self._sim
-        system = self._system
-        rng = sim.rng.stream("chaos.splitbrain.stale")
-        deposed = False
-        while True:
-            think = self.write_interval * rng.uniform(0.5, 1.5)
-            if sim.now + think > self.horizon:
-                return
-            yield Timeout(think)
-            seq = next(self._writer_seq)
-            key, value = self._key(seq), f"s{seq}"
-            if deposed:
-                yield from system.submit({key: value})
-                if system.failover_time is not None:
-                    self._post_acks[key] = value
-                continue
-            try:
-                yield from system.submit_to("east", {key: value})
-            except StaleEpochError:
-                deposed = True
-                sim.metrics.inc("chaos.splitbrain.stale_rejected")
-                continue
-            except TimeoutError_:
-                continue
-            if system.failover_time is not None:
-                # East acked a write after it was deposed — the client
-                # walks away believing it committed.
-                sim.metrics.inc("chaos.splitbrain.stale_acks")
-
-    # ------------------------------------------------------------------
-    # Invariants
-
-    def _check_epoch_monotonic(self) -> Optional[str]:
-        """Fencing tokens totally order regimes: the system epoch never
-        moves backwards."""
-        epoch = self._system.epoch
-        if epoch < self._last_epoch:
-            return f"epoch went backwards: {self._last_epoch} -> {epoch}"
-        self._last_epoch = epoch
-        return None
-
-    def _check_no_lost_update(self) -> Optional[str]:
-        """Every write acked by the post-takeover regime must still hold
-        its value at the serving primary once everything settles. A
-        deposed primary's resurrected tail overwriting one is the §5.1
-        lost update this scenario exists to catch."""
-        state = self._system.primary.state
-        lost = [
-            (key, value, state.get(key))
-            for key, value in sorted(self._post_acks.items())
-            if state.get(key) != value
-        ]
-        if lost:
-            self._sim.metrics.inc("chaos.splitbrain.lost_updates", len(lost))
-            key, value, found = lost[0]
-            return (
-                f"{len(lost)} acked writes lost (e.g. {key}={value!r} "
-                f"overwritten by {found!r})"
-            )
-        return None
+                clients.post_acks[key] = value
