@@ -51,10 +51,13 @@ class MixedTxnScenario:
     """Weak guesses vs strong order under a mid-stream fabric partition."""
 
     name = "mixed-txn"
+    #: Which side the scripted partition isolates: the leader (takeover
+    #: on the majority side) or a follower (quiet minority drift).
+    policies = ("leader", "minority")
 
     def __init__(
         self,
-        cut: str = "leader",
+        policy: str = "leader",
         horizon: float = 30.0,
         partition_start: float = 6.0,
         partition_end: float = 16.0,
@@ -67,11 +70,11 @@ class MixedTxnScenario:
         cadence: float = 1.0,
         drain: float = 12.0,
     ) -> None:
-        if cut not in ("leader", "minority"):
-            raise SimulationError(f"unknown mixed-txn cut {cut!r}")
+        if policy not in self.policies:
+            raise SimulationError(f"unknown mixed-txn policy {policy!r}")
         if not 0.0 <= weak_fraction <= 1.0:
             raise SimulationError(f"bad weak fraction {weak_fraction}")
-        self.cut = cut
+        self.policy = policy
         self.horizon = horizon
         self.partition_start = partition_start
         self.partition_end = partition_end
@@ -154,7 +157,7 @@ class MixedTxnScenario:
     # ------------------------------------------------------------------
 
     def _cut_fabric(self) -> None:
-        if self.cut == "leader":
+        if self.policy == "leader":
             # Isolate the incumbent: the majority side (with the monitor)
             # promotes a successor; the deposed leader keeps guessing.
             self._system.network.partition([

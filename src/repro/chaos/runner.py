@@ -293,7 +293,7 @@ def _sweep(
     scenario: Any, seeds: Sequence[int], spec: Optional[ChaosSpec] = None
 ) -> SweepResult:
     result = ChaosRunner(scenario, spec=spec).sweep(seeds)
-    print(f"[{scenario.name}] policy={getattr(scenario, 'policy', '?')} "
+    print(f"[{scenario.name}] policy={scenario.policy} "
           f"runs={result.runs} failing={len(result.failures)} "
           f"violation_rate={result.violation_rate:.2f}")
     for case in result.failures:
@@ -304,7 +304,7 @@ def _sweep(
 def _report_entry(scenario: Any, result: SweepResult) -> dict:
     return {
         "scenario": result.scenario,
-        "policy": getattr(scenario, "policy", None),
+        "policy": scenario.policy,
         "runs": result.runs,
         "violation_rate": result.violation_rate,
         "failures": [
@@ -355,8 +355,8 @@ def _smoke_cases() -> List[Tuple[Any, bool, Optional[int], Dict[str, Any]]]:
         (RetryStormScenario(policy="naive"), False, None, {}),
         # A mid-stream partition pairs every wrong guess with one executed
         # apology, whether it deposes the leader or strands a follower.
-        (MixedTxnScenario(cut="leader", **short_txn), False, None, {}),
-        (MixedTxnScenario(cut="minority", **short_txn), False, None, {}),
+        (MixedTxnScenario(policy="leader", **short_txn), False, None, {}),
+        (MixedTxnScenario(policy="minority", **short_txn), False, None, {}),
         # Fenced takeover survives split brain; the unfenced ablation
         # must be caught losing updates.
         (SplitBrainScenario(policy="fenced"), False, None, {}),
@@ -377,7 +377,7 @@ def smoke(seeds: Sequence[int], report_path: Optional[str] = None) -> int:
     for scenario, planted, limit, overrides in _smoke_cases():
         result = _sweep(scenario, seeds[:limit], scenario.spec(**overrides))
         entries.append(_report_entry(scenario, result))
-        label = f"{scenario.name} policy={getattr(scenario, 'policy', '?')}"
+        label = f"{scenario.name} policy={scenario.policy}"
         if planted and not result.failures:
             print(f"FAIL: {label} was not caught")
             failed = True

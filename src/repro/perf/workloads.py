@@ -354,7 +354,7 @@ def mixed_txn(scale: int, trace: bool = True) -> WorkloadRun:
     violations = 0
     for seed in range(scale):
         scenario = MixedTxnScenario(
-            cut="leader", horizon=16.0, partition_start=4.0,
+            policy="leader", horizon=16.0, partition_start=4.0,
             partition_end=9.0, drain=8.0,
         )
         report = scenario.run(seed, scenario.spec().sample(seed))

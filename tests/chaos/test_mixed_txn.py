@@ -22,7 +22,7 @@ SHORT = dict(horizon=16.0, partition_start=4.0, partition_end=9.0, drain=8.0)
 def run_mixed(cut, seed, plan=None, **kwargs):
     params = dict(SHORT)
     params.update(kwargs)
-    scenario = MixedTxnScenario(cut=cut, **params)
+    scenario = MixedTxnScenario(policy=cut, **params)
     report = scenario.run(seed, plan if plan is not None else ChaosPlan())
     return scenario, report
 
@@ -56,7 +56,7 @@ def test_minority_cut_is_clean_without_a_takeover():
 
 def test_sweep_stays_clean_across_seeds():
     for cut in ("leader", "minority"):
-        scenario = MixedTxnScenario(cut=cut, **SHORT)
+        scenario = MixedTxnScenario(policy=cut, **SHORT)
         result = ChaosRunner(scenario).sweep(range(3))
         assert not result.failures, (
             f"{cut} cut: {[c.violation for c in result.failures]}"
@@ -108,7 +108,7 @@ def test_e18_claim_weak_beats_strong_priced_in_apologies():
 
 def test_unknown_cut_is_rejected():
     with pytest.raises(SimulationError):
-        MixedTxnScenario(cut="diagonal")
+        MixedTxnScenario(policy="diagonal")
 
 
 def test_bad_weak_fraction_is_rejected():

@@ -204,9 +204,11 @@ CHAOS_VARIANTS: Dict[str, Callable[[], Any]] = {
     "membership_divergence": MembershipDivergenceScenario,
     "retry_storm_resilient": lambda: RetryStormScenario(policy="resilient"),
     "retry_storm_naive": lambda: RetryStormScenario(policy="naive"),
-    "mixed_txn_leader": lambda: MixedTxnScenario(cut="leader", **_MIXED_TXN_SHORT),
+    "mixed_txn_leader": lambda: MixedTxnScenario(
+        policy="leader", **_MIXED_TXN_SHORT
+    ),
     "mixed_txn_minority": lambda: MixedTxnScenario(
-        cut="minority", **_MIXED_TXN_SHORT
+        policy="minority", **_MIXED_TXN_SHORT
     ),
     "split_brain_fenced": lambda: SplitBrainScenario(policy="fenced"),
     "split_brain_unfenced": lambda: SplitBrainScenario(policy="unfenced"),
