@@ -4,19 +4,24 @@ import pytest
 
 from repro.chaos.invariants import (
     InvariantMonitor,
+    NoAckedWriteLost,
     Violation,
     _states_equivalent,
     balance_matches_entries,
     escrow_non_negative,
+    missing_writes,
     no_duplicate_debits,
     no_lost_cart_adds,
     no_money_created,
+    reconverged,
     replicas_converge,
 )
 from repro.bank.account import build_account_registry
 from repro.core.escrow import EscrowAccount
 from repro.core.operation import Operation
 from repro.core.replica import Replica
+from repro.dynamo.cluster import DynamoCluster
+from repro.dynamo.versions import VectorClock, VersionedValue
 from repro.errors import SimulationError
 from repro.sim.scheduler import Simulator
 
@@ -173,3 +178,53 @@ def test_no_lost_cart_adds():
     view = {"book": 1, "pen": 1, "extra": 3}
     assert no_lost_cart_adds(lambda: acked, lambda: view)() is None
     assert "pen" in no_lost_cart_adds(lambda: acked, lambda: {"book": 1})()
+
+
+# ----------------------------------------------------------------------
+# Acked unique-key writes on a Dynamo ring
+
+
+def ring_holding(writes):
+    """A 3-node ring where each (node, key, value) is stored on that node
+    alone, bypassing replication."""
+    cluster = DynamoCluster(num_nodes=3, sim=Simulator(seed=0))
+    for node, key, value in writes:
+        version = VersionedValue(value, VectorClock({node: 1}))
+        cluster.nodes[node].store_version(key, version)
+    return cluster
+
+
+def test_missing_writes_counts_only_values_on_live_nodes():
+    cluster = ring_holding([
+        ("node0", "on-crashed", 1),
+        ("node1", "on-live", 2),
+        ("node2", "stale", 99),
+    ])
+    cluster.crash("node0")
+    acked = {"on-crashed": 1, "on-live": 2, "stale": 3, "never-stored": 4}
+    # A value only a crashed node holds is missing; one live holder is
+    # enough; a different value under the key does not count.
+    assert missing_writes(cluster, acked) == [
+        ("on-crashed", 1), ("stale", 3), ("never-stored", 4),
+    ]
+
+
+def test_no_acked_write_lost_reports_and_keeps_what_it_found():
+    cluster = ring_holding([("node1", "w1", 1)])
+    acked = {"w1": 1}
+    check = NoAckedWriteLost(cluster, acked, "missing from the ring")
+    assert check() is None
+    assert check.lost == []
+
+    acked["w2"] = 2
+    assert check() == "1 acked writes missing from the ring, first: [('w2', 2)]"
+    assert check.lost == [("w2", 2)]
+
+
+def test_reconverged_reads_the_time_late():
+    converged_at = {"at": None}
+    check = reconverged(lambda: converged_at["at"], "never agreed")
+    assert check() == "never agreed"
+    converged_at["at"] = 3.5
+    assert check() is None
+

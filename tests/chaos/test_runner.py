@@ -15,6 +15,8 @@ from repro.chaos import (
     ChaosRunner,
 )
 from repro.chaos.plan import CrashEpisode
+from repro.chaos.runner import _SCENARIOS, _build_scenario
+from repro.errors import SimulationError
 
 
 def test_correct_policy_survives_sweep():
@@ -117,3 +119,15 @@ def test_smoke_cli_entrypoint():
     assert main(["--scenario", "bank", "--seeds", "2"]) == 0
     assert main(["--scenario", "bank", "--policy", "branch-uniquifier",
                  "--seeds", "1"]) == 1
+
+
+@pytest.mark.parametrize("name", sorted(_SCENARIOS))
+def test_build_scenario_accepts_every_declared_policy(name):
+    """``--policy`` reaches each scenario's constructor under one name."""
+    scenario_cls = _SCENARIOS[name]
+    assert _build_scenario(name, None).policy in scenario_cls.policies
+    for policy in scenario_cls.policies:
+        assert _build_scenario(name, policy).policy == policy
+    with pytest.raises(SimulationError):
+        _build_scenario(name, "no-such-policy")
+
