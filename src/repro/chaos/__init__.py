@@ -6,15 +6,12 @@ from repro.chaos.engine import ChaosEngine, ChaosTargets
 from repro.chaos.invariants import (
     Check,
     InvariantMonitor,
-    NoAckedWriteLost,
     Violation,
     balance_matches_entries,
     escrow_non_negative,
-    missing_writes,
     no_duplicate_debits,
     no_lost_cart_adds,
     no_money_created,
-    reconverged,
     replicas_converge,
 )
 from repro.chaos.plan import (
@@ -32,13 +29,7 @@ from repro.chaos.mixed_txn import MixedTxnScenario
 from repro.chaos.rejoin import RejoinScenario
 from repro.chaos.retrystorm import RetryStormScenario
 from repro.chaos.scenarios import BankClearingScenario, CartDynamoScenario
-from repro.chaos.skeleton import (
-    WORKLOAD_ERRORS,
-    ChaosReport,
-    CrashAdapter,
-    repair_until_converged,
-    unique_key_writer,
-)
+from repro.chaos.skeleton import ChaosReport
 
 # Imported lazily so `python -m repro.chaos.runner` does not import the
 # runner module twice (once via the package, once via runpy).
@@ -63,7 +54,6 @@ __all__ = [
     "ChaosSpec",
     "ChaosTargets",
     "Check",
-    "CrashAdapter",
     "CrashEpisode",
     "DiskFaultEpisode",
     "Episode",
@@ -73,22 +63,16 @@ __all__ = [
     "InvariantMonitor",
     "LinkFaultEpisode",
     "MixedTxnScenario",
-    "NoAckedWriteLost",
     "PartitionEpisode",
     "RejoinScenario",
     "RetryStormScenario",
     "SweepResult",
     "Violation",
-    "WORKLOAD_ERRORS",
     "WanCutEpisode",
     "balance_matches_entries",
     "escrow_non_negative",
-    "missing_writes",
     "no_duplicate_debits",
     "no_lost_cart_adds",
     "no_money_created",
-    "reconverged",
-    "repair_until_converged",
     "replicas_converge",
-    "unique_key_writer",
 ]

@@ -20,7 +20,16 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.chaos.plan import (
     ChaosPlan,
@@ -329,43 +338,51 @@ def _write_report(path: str, entries: List[dict]) -> None:
     print(f"invariant report -> {path}")
 
 
-def _smoke_cases() -> List[Tuple[Any, bool, Optional[int], Dict[str, Any]]]:
-    """The CI gate, in report order: (scenario, whether its planted bug
-    must be caught, how many of the seeds to sweep (None = all), spec
-    overrides). Every other configuration must sweep clean."""
+class _SmokeCase(NamedTuple):
+    scenario: Any
+    planted: bool = False  # the sweep must catch this scenario's bug
+    seed_limit: Optional[int] = None  # sweep only the first N seeds
+    spec: Dict[str, Any] = {}  # overrides for scenario.spec(); read only
+
+
+def _smoke_cases() -> List[_SmokeCase]:
+    """The CI gate, in report order. Every configuration without a
+    planted bug must sweep clean."""
     short_txn = dict(
         horizon=16.0, partition_start=4.0, partition_end=9.0, drain=8.0
     )
     return [
-        (BankClearingScenario(policy="correct"), False, None, {}),
-        (CartDynamoScenario(policy="correct"), False, None, {}),
+        _SmokeCase(BankClearingScenario(policy="correct")),
+        _SmokeCase(CartDynamoScenario(policy="correct")),
         # Rolling cold restarts lose no acked write under either rejoin
         # discipline: the snapshot only changes what crosses the wire.
-        (RejoinScenario(policy="snapshot"), False, None, {}),
-        (RejoinScenario(policy="no-snapshot"), False, None, {}),
+        _SmokeCase(RejoinScenario(policy="snapshot")),
+        _SmokeCase(RejoinScenario(policy="no-snapshot")),
         # Two joins and a decommission mid-traffic under message chaos.
-        (RingRebalanceScenario(), False, None, {}),
+        _SmokeCase(RingRebalanceScenario()),
         # Gossiped views diverge under partitions and flapping links, yet
         # reconverge after heal and lose no acked write meanwhile.
-        (MembershipDivergenceScenario(), False, None, {}),
+        _SmokeCase(MembershipDivergenceScenario()),
         # A retry storm is a goodput catastrophe, not a correctness bug:
         # the invariants hold under both client disciplines (E13
         # measures the goodput gap).
-        (RetryStormScenario(policy="resilient"), False, None, {}),
-        (RetryStormScenario(policy="naive"), False, None, {}),
+        _SmokeCase(RetryStormScenario(policy="resilient")),
+        _SmokeCase(RetryStormScenario(policy="naive")),
         # A mid-stream partition pairs every wrong guess with one executed
         # apology, whether it deposes the leader or strands a follower.
-        (MixedTxnScenario(policy="leader", **short_txn), False, None, {}),
-        (MixedTxnScenario(policy="minority", **short_txn), False, None, {}),
+        _SmokeCase(MixedTxnScenario(policy="leader", **short_txn)),
+        _SmokeCase(MixedTxnScenario(policy="minority", **short_txn)),
         # Fenced takeover survives split brain; the unfenced ablation
         # must be caught losing updates.
-        (SplitBrainScenario(policy="fenced"), False, None, {}),
-        (SplitBrainScenario(policy="unfenced"), True, None, {}),
+        _SmokeCase(SplitBrainScenario(policy="fenced")),
+        _SmokeCase(SplitBrainScenario(policy="unfenced"), planted=True),
         # The geo game day: each run is a full multi-DC day, so two seeds.
-        (GameDayScenario(policy="fenced", detector="phi"), False, 2, {}),
+        _SmokeCase(GameDayScenario(policy="fenced", detector="phi"), seed_limit=2),
         # Non-idempotent recovery needs a crash to fire.
-        (BankClearingScenario(policy="amnesiac-restart"), True, None,
-         {"min_crashes": 1}),
+        _SmokeCase(
+            BankClearingScenario(policy="amnesiac-restart"),
+            planted=True, spec={"min_crashes": 1},
+        ),
     ]
 
 
@@ -374,8 +391,8 @@ def smoke(seeds: Sequence[int], report_path: Optional[str] = None) -> int:
     found, shrunk, and its minimal plan replays exactly."""
     failed = False
     entries: List[dict] = []
-    for scenario, planted, limit, overrides in _smoke_cases():
-        result = _sweep(scenario, seeds[:limit], scenario.spec(**overrides))
+    for scenario, planted, seed_limit, overrides in _smoke_cases():
+        result = _sweep(scenario, seeds[:seed_limit], scenario.spec(**overrides))
         entries.append(_report_entry(scenario, result))
         label = f"{scenario.name} policy={scenario.policy}"
         if planted and not result.failures:
