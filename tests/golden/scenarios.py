@@ -25,10 +25,12 @@ from repro.chaos.retrystorm import RetryStormScenario
 from repro.chaos.ring_rebalance import RingRebalanceScenario
 from repro.chaos.scenarios import BankClearingScenario, CartDynamoScenario
 from repro.chaos.splitbrain import SplitBrainScenario
-from repro.errors import TransactionAborted
+from repro.dynamo import DynamoCluster, VectorClock, VersionedValue
+from repro.errors import CrashedError, TimeoutError_, TransactionAborted
 from repro.logship import LogShippingSystem, ShipMode
 from repro.net.latency import FixedLatency
 from repro.net.network import LinkConfig
+from repro.net.rpc import RpcError
 from repro.net.topology import Site, Topology, TopologyNetwork, WanLink
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
@@ -174,10 +176,69 @@ def run_geo(seed: int = 13) -> Tuple[str, str]:
     return render_trace(sim), render_counters(counters)
 
 
+def run_merkle(seed: int = 17) -> Tuple[str, str]:
+    """The frozen anti-entropy story: 200 keys preloaded on an 8-node
+    ring, one node cut off while a writer lands read-modify-write puts,
+    heal, Merkle rounds until one ships no bucket, then a join and a
+    decommission. Each round's stats and every node's final store go
+    into the trace, so DIGESTS/SYNC_BUCKET payloads, range transfers and
+    the stores they leave behind are pinned bit-for-bit."""
+    from repro.dynamo.cluster import QuorumUnavailable
+
+    cluster = DynamoCluster(num_nodes=8, seed=seed)
+    sim = cluster.sim
+    rng = sim.rng.stream("golden.merkle")
+    keys = [f"key{n}" for n in rng.sample(range(1_000_000), 200)]
+    for value, key in enumerate(keys):
+        version = VersionedValue(value, VectorClock({"loader": 1}))
+        for owner in cluster.ring.intended_owners(key, cluster.n):
+            cluster.nodes[owner].store_version(key, version)
+    victim, leaver = rng.sample(sorted(cluster.nodes), 2)
+    targets = [rng.choice(keys) for _ in range(40)]
+    client_errors = (QuorumUnavailable, TimeoutError_, RpcError, CrashedError)
+
+    def job():
+        client = cluster.client("golden-writer")
+        cluster.network.partition([[victim]])
+        for index, key in enumerate(targets):
+            try:
+                result = yield from client.get(key)
+                yield from client.put(key, f"w{index}", context=result.context)
+            except client_errors:
+                sim.metrics.inc("golden.failed_writes")
+            yield Timeout(0.01)
+        cluster.network.heal()
+        for round_no in range(1, 9):
+            stats = yield from cluster.run_merkle_round()
+            sim.trace.emit("golden", "merkle.round", round=round_no, **stats)
+            if stats["bucket_msgs"] == 0:
+                break
+        joined = yield from cluster.join(f"node{len(cluster.nodes)}")
+        sim.trace.emit("golden", "merkle.join", **joined)
+        left = yield from cluster.decommission(leaver)
+        sim.trace.emit("golden", "merkle.decommission", **left)
+        yield Timeout(1.0)
+        for name in sorted(cluster.nodes):
+            store = cluster.nodes[name].store
+            frontier = [
+                (key, sorted((repr(v.value), sorted(v.clock.counters.items()))
+                             for v in store[key]))
+                for key in sorted(store)
+            ]
+            sim.trace.emit(
+                "golden", "merkle.store", node=name, keys=len(store),
+                sha256=hashlib.sha256(repr(frontier).encode()).hexdigest(),
+            )
+
+    sim.run_process(job())
+    return render_trace(sim), render_counters(sim.metrics.counters())
+
+
 GOLDEN_RUNS = {
     "bank_seed7": run_bank,
     "cart_seed11": run_cart,
     "geo_seed13": run_geo,
+    "merkle_seed17": run_merkle,
     "recovery_seed5": run_recovery,
     "tandem_seed3": run_tandem,
 }
