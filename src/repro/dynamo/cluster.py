@@ -362,7 +362,7 @@ class DynamoCluster:
     # Merkle-digest anti-entropy (bucketed, message-efficient)
 
     def _register_merkle_handlers(self, node: DynamoNode) -> None:
-        from repro.dynamo.merkle import all_digests, bucket_of
+        from repro.dynamo.merkle import all_digests
         from repro.dynamo.versions import VectorClock, VersionedValue
 
         def handle_digests(endpoint, msg):
@@ -372,7 +372,9 @@ class DynamoCluster:
                 view = self._range_view(serving, ranges)
             else:
                 view = self._shared_ownership_view(serving, msg.src)
-            return {"digests": all_digests(view, msg.payload["buckets"])}
+            return {"digests": all_digests(
+                view, msg.payload["buckets"], self.ring.position
+            )}
 
         def handle_sync_bucket(endpoint, msg):
             serving = self.nodes[endpoint.name]
@@ -396,12 +398,13 @@ class DynamoCluster:
             # Reply with our versions of this bucket: within the named
             # ranges for a range-scoped transfer, else keys the peer owns.
             peer = msg.src
+            position = self.ring.position
             reply = []
             for key, versions in serving.store.items():
-                if bucket_of(key, buckets) != bucket:
+                if position(key) % buckets != bucket:
                     continue
                 if ranges is not None:
-                    if not key_in_ranges(key, ranges):
+                    if not key_in_ranges(key, ranges, position):
                         continue
                 elif peer not in self.ring.intended_owners(key, self.n):
                     continue
@@ -435,10 +438,11 @@ class DynamoCluster:
     ) -> Dict[str, list]:
         """The slice of a node's store inside the given hash arcs — the
         view a range-scoped rebalance transfer compares and ships."""
+        position = self.ring.position
         return {
             key: versions
             for key, versions in node.store.items()
-            if key_in_ranges(key, ranges)
+            if key_in_ranges(key, ranges, position)
         }
 
     def run_merkle_round(self, buckets: int = 16) -> Generator[Any, Any, Dict[str, int]]:
@@ -446,7 +450,7 @@ class DynamoCluster:
 
         Returns message accounting: digest exchanges vs bucket payloads —
         once converged, a round costs only the digest messages."""
-        from repro.dynamo.merkle import all_digests, bucket_of
+        from repro.dynamo.merkle import bucket_digest, split_buckets
         from repro.dynamo.versions import VectorClock, VersionedValue
 
         stats = {"digest_msgs": 0, "bucket_msgs": 0, "versions_moved": 0}
@@ -484,15 +488,16 @@ class DynamoCluster:
                     continue
                 stats["digest_msgs"] += 1
                 theirs = reply["digests"]
-                shared = self._shared_ownership_view(a, b_name)
-                mine = all_digests(shared, buckets)
-                for bucket in range(buckets):
+                shared = split_buckets(
+                    self._shared_ownership_view(a, b_name), buckets,
+                    self.ring.position,
+                )
+                mine = [bucket_digest(part) for part in shared]
+                for bucket, part in enumerate(shared):
                     if mine[bucket] == theirs[bucket]:
                         continue
                     payload = []
-                    for key, versions in shared.items():
-                        if bucket_of(key, buckets) != bucket:
-                            continue
+                    for key, versions in part.items():
                         for version in versions:
                             payload.append({"key": key, "value": version.value,
                                             "clock": dict(version.clock.counters)})
@@ -718,7 +723,7 @@ class DynamoCluster:
         DIGESTS/SYNC_BUCKET verbs anti-entropy uses, restricted to the
         moved arcs. Both sides end up holding the ranges' frontier (each
         stores only what it owns under the current ring)."""
-        from repro.dynamo.merkle import all_digests, bucket_of
+        from repro.dynamo.merkle import bucket_digest, split_buckets
 
         stats = {"versions_moved": 0, "digest_msgs": 0, "bucket_msgs": 0}
         range_payload = [[start, end] for start, end in ranges]
@@ -733,15 +738,15 @@ class DynamoCluster:
             return stats
         stats["digest_msgs"] += 1
         theirs = reply["digests"]
-        view = self._range_view(node, range_payload)
-        mine = all_digests(view, buckets)
-        for bucket in range(buckets):
+        view = split_buckets(
+            self._range_view(node, range_payload), buckets, self.ring.position
+        )
+        mine = [bucket_digest(part) for part in view]
+        for bucket, part in enumerate(view):
             if mine[bucket] == theirs[bucket]:
                 continue
             payload = []
-            for key, versions in view.items():
-                if bucket_of(key, buckets) != bucket:
-                    continue
+            for key, versions in part.items():
                 for version in versions:
                     payload.append({"key": key, "value": version.value,
                                     "clock": dict(version.clock.counters)})

@@ -11,6 +11,11 @@ The ring is *elastic*: :meth:`HashRing.add_node` and
 :func:`moved_ranges` reports exactly which hash-space arcs changed
 ownership between two ring states — the transfer list a rebalance must
 move, and nothing more.
+
+A key's hash never depends on membership, so each ring memoizes it:
+one SHA-256 per key per ring (clones share the memo). Strict owner
+lists are memoized per arc, so that memo is bounded by the vnode count;
+every splice drops it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 
@@ -68,9 +73,14 @@ class MovedRange:
         return self.contains_hash(ring_hash(key))
 
 
-def key_in_ranges(key: str, ranges: Iterable[Sequence[int]]) -> bool:
-    """Whether ``key`` hashes into any ``[start, end)`` wrapping arc."""
-    h = ring_hash(key)
+def key_in_ranges(
+    key: str,
+    ranges: Iterable[Sequence[int]],
+    position: Callable[[str], int] = ring_hash,
+) -> bool:
+    """Whether ``key`` hashes into any ``[start, end)`` wrapping arc.
+    ``position`` maps a key to its hash (a ring's memo, say)."""
+    h = position(key)
     for start, end in ranges:
         if start < end:
             if start <= h < end:
@@ -100,6 +110,9 @@ class HashRing:
         positions.sort()
         self._positions = positions
         self._hashes = [h for h, _node in positions]
+        self._key_hashes: Dict[str, int] = {}
+        # (index of the key's successor vnode, n) -> strict owners.
+        self._owners: Dict[Tuple[int, int], Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # Elastic membership
@@ -119,6 +132,7 @@ class HashRing:
             index = bisect.bisect_left(self._positions, (h, name))
             self._positions.insert(index, (h, name))
             self._hashes.insert(index, h)
+        self._owners = {}
 
     def remove_node(self, name: str) -> None:
         """Remove ``name``'s vnode positions in place. The departing
@@ -130,18 +144,29 @@ class HashRing:
         self.nodes.remove(name)
         self._positions = [(h, n) for h, n in self._positions if n != name]
         self._hashes = [h for h, _node in self._positions]
+        self._owners = {}
 
     def clone(self) -> "HashRing":
-        """An independent snapshot (for moved-range comparison)."""
+        """An independent snapshot (for moved-range comparison). Key
+        hashes are membership-free, so the snapshot shares their memo."""
         ring = HashRing.__new__(HashRing)
         ring.nodes = list(self.nodes)
         ring.vnodes = self.vnodes
         ring._positions = list(self._positions)
         ring._hashes = list(self._hashes)
+        ring._key_hashes = self._key_hashes
+        ring._owners = {}
         return ring
 
     # ------------------------------------------------------------------
     # Lookup
+
+    def position(self, key: str) -> int:
+        """The key's hash on the ring, computed once per key."""
+        h = self._key_hashes.get(key)
+        if h is None:
+            h = self._key_hashes[key] = ring_hash(key)
+        return h
 
     def owner(self, key: str) -> str:
         """The first node clockwise of the key."""
@@ -160,9 +185,11 @@ class HashRing:
         (intended) owners. Returns fewer than ``n`` when the ring runs
         out of (live) nodes.
         """
+        if alive is None:
+            return self.intended_owners(key, n)
         if n < 1:
             raise SimulationError("preference list size must be >= 1")
-        return self._walk(bisect.bisect_right(self._hashes, ring_hash(key)), n, alive)
+        return self._walk(bisect.bisect_right(self._hashes, self.position(key)), n, alive)
 
     def owners_at(self, position: int, n: int) -> List[str]:
         """The strict top-N owners for keys hashing to ``position`` —
@@ -185,8 +212,16 @@ class HashRing:
         return seen
 
     def intended_owners(self, key: str, n: int) -> List[str]:
-        """The strict top-N owners, dead or alive (for hinted handoff)."""
-        return self.preference_list(key, n, alive=None)
+        """The strict top-N owners, dead or alive (for hinted handoff).
+        Memoized per arc until the next splice; each call gets a fresh
+        list."""
+        start = bisect.bisect_right(self._hashes, self.position(key))
+        owners = self._owners.get((start, n))
+        if owners is None:
+            if n < 1:
+                raise SimulationError("preference list size must be >= 1")
+            owners = self._owners[(start, n)] = tuple(self._walk(start, n, None))
+        return list(owners)
 
 
 def moved_ranges(before: HashRing, after: HashRing, n: int = 1) -> List[MovedRange]:

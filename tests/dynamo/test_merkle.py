@@ -1,8 +1,25 @@
 """Merkle-digest anti-entropy: convergence at digest-message cost."""
 
-from repro.dynamo import DynamoCluster, VectorClock, VersionedValue
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dynamo import DynamoCluster, HashRing, VectorClock, VersionedValue
 from repro.dynamo.merkle import all_digests, bucket_of, frontier_digest
 from repro.sim import Timeout
+
+# A clock's counters in generation order, so equal clocks can arrive with
+# their entries in any order.
+clocks = st.lists(
+    st.tuples(st.sampled_from(["n1", "n2", "n3", "n4"]),
+              st.integers(min_value=1, max_value=5)),
+    min_size=1, max_size=4, unique_by=lambda pair: pair[0],
+).map(lambda pairs: VectorClock(dict(pairs)))
+
+siblings = st.lists(
+    st.builds(VersionedValue, st.integers(0, 3), clocks), min_size=1, max_size=3
+)
+
+stores = st.dictionaries(st.text(min_size=1, max_size=6), siblings, max_size=24)
 
 
 def test_bucket_of_stable():
@@ -138,3 +155,14 @@ def test_digest_stable_across_insertion_order():
                 == frontier_digest(store_ba, bucket, 4))
         assert (frontier_digest({"k": [forward]}, bucket, 4)
                 == frontier_digest({"k": [backward]}, bucket, 4))
+
+
+@given(stores, st.integers(min_value=1, max_value=32))
+@settings(max_examples=80)
+def test_all_digests_matches_per_bucket_reference(store, buckets):
+    """The single bucketing pass digests every bucket exactly as the
+    one-bucket reference does, with or without a ring's hash memo."""
+    reference = [frontier_digest(store, b, buckets) for b in range(buckets)]
+    assert all_digests(store, buckets) == reference
+    ring = HashRing(["a", "b"])
+    assert all_digests(store, buckets, ring.position) == reference

@@ -47,13 +47,25 @@ def _apply(ring, script):
 @given(node_sets, scripts)
 @settings(max_examples=60)
 def test_spliced_ring_matches_from_scratch(initial, script):
+    """Also the owner-memo invalidation check: answers cached before the
+    splices must not survive them, and a snapshot taken before keeps
+    answering for the old membership."""
     ring = HashRing(initial, vnodes=4)
+    keys = sample_keys[:20]
+    sizes = range(1, 4)
+    warm = {(key, n): ring.intended_owners(key, n) for key in keys for n in sizes}
+    for key in keys:
+        ring.preference_list(key, 3)
+    snapshot = ring.clone()
     members = _apply(ring, script)
     fresh = HashRing(sorted(members), vnodes=4)
     assert ring._positions == fresh._positions
     n = min(3, len(members))
-    for key in sample_keys[:20]:
+    for key in keys:
         assert ring.preference_list(key, n) == fresh.preference_list(key, n)
+        for size in sizes:
+            assert ring.intended_owners(key, size) == fresh.intended_owners(key, size)
+            assert snapshot.intended_owners(key, size) == warm[(key, size)]
 
 
 @given(node_sets, scripts)
